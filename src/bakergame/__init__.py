@@ -72,6 +72,7 @@ from .ptas import (
     ISInstance,
     OracleError,
     Solution,
+    SolverInvariantError,
     oracle_ccolorable,
     oracle_domset,
     oracle_mis,

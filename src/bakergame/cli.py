@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or input error, 2 infeasible instance,
 3 a clique minor witness was found instead of a strategy, 4 budget
-exhausted.
+exhausted, 5 invalid solution (a solver or oracle answer failed
+verify_solution, or a solver invariant broke).
 """
 
 import argparse
@@ -34,6 +35,7 @@ EXIT_ERROR = 1
 EXIT_INFEASIBLE = 2
 EXIT_MINOR_WITNESS = 3
 EXIT_BUDGET = 4
+EXIT_INVALID = 5
 
 
 def _read(path):
@@ -63,6 +65,11 @@ def _witness_report(witness):
             "branch_sets": [sorted(b) for b in witness.branch_sets],
         }
     }
+
+
+def _require_valid(problem, inst, sol):
+    if not ptas.verify_solution(problem, inst, sol):
+        raise ptas.SolverInvariantError("%s answer fails verification" % problem)
 
 
 def _load_strategy(args, graph):
@@ -204,7 +211,7 @@ def cmd_solve(args):
         _emit_json({"problem": args.problem, "error": str(exc)}, args.output)
         return EXIT_BUDGET
     elapsed = time.monotonic() - t0
-    assert ptas.verify_solution(args.problem, inst2, sol)
+    _require_valid(args.problem, inst2, sol)
     report = _solution_report(args.problem, sol, inv)
     report["k"] = args.k
     report["strategy"] = args.strategy
@@ -230,7 +237,7 @@ def cmd_oracle(args):
     else:
         chosen, coloring = ptas.oracle_ccolorable(inst)
         sol = ptas.Solution("ccolorable", True, chosen, coloring)
-    assert ptas.verify_solution(args.problem, inst, sol)
+    _require_valid(args.problem, inst, sol)
     _emit_json(_solution_report(args.problem, sol, None), args.output)
     return EXIT_OK
 
@@ -283,7 +290,7 @@ def cmd_bench(args):
             rows.append({"n": n, "status": "budget_exceeded"})
             break
         elapsed = time.monotonic() - t0
-        assert ptas.verify_solution("mis", inst, sol)
+        _require_valid("mis", inst, sol)
         rows.append({"n": n, "status": "ok", "size": sol.size, "seconds": elapsed})
     report = {"problem": "mis", "k": args.k, "strategy": args.strategy, "rows": rows}
     if args.rows is not None:
@@ -361,6 +368,9 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ptas.SolverInvariantError as exc:
+        print("error: invalid solution: %s" % exc, file=sys.stderr)
+        return EXIT_INVALID
     except (FormatError, GraphError, SequenceError, StrategyError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR

@@ -330,7 +330,8 @@ def extend_geodesic_layering(graph, part, lam):
     ext = {v: best.get(v, 0) for v in graph.vertices}
     require_layering(graph, ext, "extended layering")
     for v in part:
-        assert ext[v] == lam[v]
+        if ext[v] != lam[v]:
+            raise GraphError("extension relabels vertex %d of the part" % v)
     return ext
 
 

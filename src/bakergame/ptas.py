@@ -1,23 +1,32 @@
 """Game-driven approximation solvers with exact baselines.
 
 Each solver follows a strategy move by move.  A Delete splits the
-problem into "smallest vertex chosen / not chosen" branches on the
-shrunken graph; a Restrict tries every interval cover of the proposed
+problem into branches on the smallest vertex (chosen or not, or which
+colour it takes); a Restrict tries every interval cover of the proposed
 layering, solves the slices independently one level deeper, and keeps
 the best combination.  Margins make the slice unions legal: demand is
 split along mid-margins (which tile the label line), and existential
 requirements are confined to core margins, far enough from interval
 ends that distinct slices cannot interfere.
 
+One walk serves all three problems.  It keeps the game tree on an
+explicit stack of generators, one per node, so deep games need no deep
+Python recursion.  What differs between the problems is a small
+_Problem record: the cover radius, the instance's memo key, the delete
+branches, how a cover slices the instance, how slice answers combine
+(a union, or for domset the plan_dp choice of which slice meets which
+hit-set) and the check on the combination.  Every node passes up
+(size, bag, provenance).
+
 The accumulated loss is one (1 +/- eps_level) factor per Restrict, and
 the window schedule makes those products converge to 1 +/- 1/k.
 """
 
 import pickle
-import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .covers import Cover, margin, occupied_intervals, plan_dp
 from .game import DELETE, GameState, StateIds, apply_delete, apply_restrict
@@ -33,6 +42,12 @@ class PtasError(ValueError):
 
 class OracleError(PtasError):
     pass
+
+
+class SolverInvariantError(PtasError):
+    """A solver answer lacks a property that it must have, such as the
+    union of a Restrict's slice answers or an answer that fails
+    verify_solution: a fault in the solver, not in its input."""
 
 
 class BudgetExceededError(RuntimeError):
@@ -109,9 +124,6 @@ class EpsSchedule:
     def eps(self, i):
         return Fraction(1, (self.k + 1) * 2**i)
 
-    def ell(self, problem, i):
-        return ScheduleSeq(problem, self.k).at(i)
-
     def check_products(self, levels=64):
         up = Fraction(1)
         down = Fraction(1)
@@ -173,10 +185,11 @@ class _Search:
             raise BudgetExceededError("time budget exhausted")
 
 
-# Solvers pass chosen vertices up the recursion as a bag: None, or a
-# cell (item, rest) whose item is one vertex or a frozenset of them.
-# Choosing one more vertex is then O(1), and only Restrict nodes, which
-# must check the union of their slices anyway, build a frozenset.
+# Solvers pass their choices up the game tree as a bag: None, or a pair
+# (item, rest) whose item is one cell (a vertex, or a (vertex, colour)
+# pair) or a frozenset of cells.  Choosing one more cell is then O(1),
+# and only Restrict nodes, which must check the union of their slices
+# anyway, build a frozenset.
 
 
 def _bag_set(bag):
@@ -262,12 +275,150 @@ def _dedup_covers(ell, r, lam):
             yield residue, intervals
 
 
+# ---------------------------------------------------------------------------
+# the game-tree walk shared by the solvers
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """How one problem plays the game, given by functions of the walk's
+    instance values (see each problem's section for its form).
+
+    name: the problem, as ScheduleSeq knows it.  maximize: the
+    objective's sense.  radius: r of the (ell, r)-covers a
+    Restrict tries.  leaf(inst): the answer on the empty graph.
+    instance_key(inst, lo): ints naming inst, bits taken relative to lo,
+    the smallest live vertex.  delete_branches(inst, g, h): (cell, child)
+    pairs for the smallest vertex of g, h being g without it; cell is
+    what the branch adds to the bag, None for nothing; a later branch
+    wins a tie.  slice(inst, g, lam, intervals, r): per interval of one
+    cover, the window its slice plays and (tag, child) pairs, or
+    INFEASIBLE when the cover cannot work.  combine(inst, tables): one
+    child answer per (window, {tag: answer}) table, to be united, or
+    INFEASIBLE.  check(inst, g, chosen): raise SolverInvariantError
+    unless the united answer is valid."""
+
+    name: str
+    maximize: bool
+    radius: int
+    leaf: object
+    instance_key: object
+    delete_branches: object
+    slice: object
+    combine: object
+    check: object
+
+    def better(self, a, b):
+        return a != b and (a > b) == self.maximize
+
+
+def _node(prob, inst, strat, state, memo, search):
+    """One node of the game tree, as a generator: it yields (instance,
+    strategy, state) for each child and is sent the child's answer.
+    Answers are INFEASIBLE or (size, bag, provenance)."""
+    search.tick()
+    g = state.graph
+    if g.n == 0:
+        return prob.leaf(inst)
+    key = None
+    if memo is not None:
+        key = search.memo_key(strat, state, prob.instance_key(inst, g.vertices[0]))
+        if key in memo:
+            return memo[key]
+    action = strat.next_action(state)
+    if action.kind == DELETE:
+        ns = apply_delete(state)
+        strat.observe(action, None, ns)
+        branches = prob.delete_branches(inst, g, ns.graph)
+        last = len(branches) - 1
+        out = INFEASIBLE
+        for i, (cell, sub) in enumerate(branches):
+            # a child moves its strategy, so only the last one gets strat
+            res = yield sub, strat if i == last else strat.fork(), ns
+            if res is INFEASIBLE:
+                continue
+            if cell is not None:
+                res = (res[0] + 1, (cell, res[1]), res[2])
+            if out is INFEASIBLE or not prob.better(out[0], res[0]):
+                out = res
+    else:
+        lam = action.layering
+        ell = state.rseq.head
+        best = INFEASIBLE
+        for residue, intervals in _dedup_covers(ell, prob.radius, lam):
+            plan = prob.slice(inst, g, lam, intervals, prob.radius)
+            if plan is INFEASIBLE:
+                continue
+            tables = []
+            for window, subs in plan:
+                child = apply_restrict(state, lam, window)
+                table = {}
+                for tag, sub in subs:
+                    if sub is INFEASIBLE:
+                        continue
+                    fork = strat.fork()
+                    fork.observe(action, window, child)
+                    res = yield sub, fork, child
+                    if res is not INFEASIBLE:
+                        table[tag] = res
+                if not table:  # no slice of this window works: drop the cover
+                    break
+                tables.append((window, table))
+            else:
+                picked = prob.combine(inst, tables)
+                if picked is INFEASIBLE:
+                    continue
+                chosen = frozenset().union(*(_bag_set(res[1]) for res in picked))
+                if best is INFEASIBLE or prob.better(len(chosen), best[1]):
+                    best = (residue, len(chosen), chosen, picked)
+        out = INFEASIBLE
+        if best is not INFEASIBLE:
+            residue, size, chosen, picked = best
+            prob.check(inst, g, chosen)
+            prov = [{"round": state.round + 1, "ell": ell, "residue": residue}]
+            for res in picked:
+                prov.extend(res[2])
+            out = (size, (chosen, None), prov)
+    if memo is not None:
+        memo[key] = out
+    return out
+
+
+def _walk(prob, inst, strat, state, memo, search):
+    """Play the game tree below state on an explicit stack of _node
+    generators, so that deep games need no deep Python recursion."""
+    stack = [_node(prob, inst, strat, state, memo, search)]
+    res = None
+    while stack:
+        try:
+            child = stack[-1].send(res)
+        except StopIteration as done:
+            stack.pop()
+            res = done.value
+        else:
+            stack.append(_node(prob, *child, memo, search))
+            res = None
+    return res
+
+
+def _empty(inst):
+    return (0, None, [])
+
+
+def _label_bits(lam, lo, hi):
+    return _bits_from(0, [v for v, lab in lam.items() if lo <= lab <= hi])
+
+
 def _preimage(lam, graph, lo, hi):
     return frozenset(v for v in graph.vertices if lo <= lam[v] <= hi)
 
 
+def _union(inst, tables):
+    return [table[None] for _, table in tables]
+
+
 # ---------------------------------------------------------------------------
-# dominating set
+# dominating set: the walk's instance is a DomSetInstance
 
 
 def slice_domset(inst, lam, interval, r, assigned_hits):
@@ -287,368 +438,207 @@ def slice_domset(inst, lam, interval, r, assigned_hits):
     return DomSetInstance(g.induced(keep), frozenset(inst.demand) & mid, tuple(hits))
 
 
-def _dom_rec(inst, strat, state, memo, search):
-    search.tick()
-    g = state.graph
-    if g.n == 0:
-        if inst.hits:
-            return INFEASIBLE
-        return (0, None, [])
-    key = None
-    if memo is not None:
-        key = (search.memo_key(strat, state), inst.demand, frozenset(inst.hits))
-        if key in memo:
-            return memo[key]
-    action = strat.next_action(state)
-    if action.kind == DELETE:
-        v = g.smallest()
-        ns = apply_delete(state)
-        strat_a = strat.fork()
-        strat_a.observe(action, None, ns)
-        strat.observe(action, None, ns)
-        live = ns.graph.vertex_set
-        # branch: v chosen
-        dem_a = inst.demand - g.adj[v] - {v}
-        hits_a = tuple(h for h in inst.hits if v not in h)
-        res_a = _dom_rec(
-            DomSetInstance(ns.graph, dem_a, hits_a), strat_a, ns, memo, search
-        )
-        if res_a is not INFEASIBLE:
-            res_a = (res_a[0] + 1, (v, res_a[1]), res_a[2])
-        # branch: v not chosen
-        res_b = INFEASIBLE
-        hits_b = [h - {v} for h in inst.hits]
-        if all(hits_b):
-            ok = True
-            if v in inst.demand:
-                newhit = g.adj[v] & live
-                if newhit:
-                    hits_b.append(newhit)
-                else:
-                    ok = False
-            if ok:
-                res_b = _dom_rec(
-                    DomSetInstance(ns.graph, inst.demand - {v}, tuple(hits_b)),
-                    strat,
-                    ns,
-                    memo,
-                    search,
-                )
-        if res_a is INFEASIBLE:
-            out = res_b
-        elif res_b is INFEASIBLE or res_a[0] < res_b[0]:
-            out = res_a
-        else:
-            out = res_b
-    else:
-        out = _dom_restrict(inst, strat, state, action, memo, search)
-    if memo is not None:
-        memo[key] = out
+def _dom_leaf(inst):
+    return INFEASIBLE if inst.hits else _empty(inst)
+
+
+def _dom_key(inst, lo):
+    # equal hit-sets collapse, as they would in a frozenset
+    hits = sorted({_bits_from(lo, h) for h in inst.hits})
+    return _bits_from(lo, inst.demand), tuple(hits)
+
+
+def _dom_branches(inst, g, h):
+    """The smallest vertex v is chosen, or not: then a demanded v needs
+    a chosen neighbour, which becomes one more hit-set."""
+    v = g.vertices[0]
+    nbrs = g.adj[v]
+    hits_a = tuple(x for x in inst.hits if v not in x)
+    out = [(v, DomSetInstance(h, inst.demand - nbrs - {v}, hits_a))]
+    hits_b = [x - {v} for x in inst.hits]
+    if v in inst.demand:
+        hits_b.append(nbrs)
+    if all(hits_b):
+        out.append((None, DomSetInstance(h, inst.demand - {v}, tuple(hits_b))))
     return out
 
 
-def _dom_restrict(inst, strat, state, action, memo, search):
-    lam = action.layering
-    ell = state.rseq.head
-    r = 1
-    t = len(inst.hits)
-    best = INFEASIBLE
-    best_residue = None
-    for residue, intervals in _dedup_covers(ell, r, lam):
-        # which hit-sets can be met inside which interval's core
-        avail = []
-        for j in range(t):
-            opts = []
-            for i, iv in enumerate(intervals):
-                core = _preimage(lam, state.graph, *margin(iv, 2 * r))
-                if inst.hits[j] & core:
-                    opts.append(i)
-            avail.append(opts)
-        if any(not o for o in avail):
-            continue
-        tables = []
-        feasible_cover = True
-        for i, iv in enumerate(intervals):
-            slice_state = apply_restrict(state, lam, iv)
-            table = {}
-            for tup in _tuples_for_interval(t, i, avail):
-                assigned = [inst.hits[j] for j in range(t) if tup[j]]
-                sub = slice_domset(inst, lam, iv, r, assigned)
-                if sub is INFEASIBLE:
-                    continue
-                fork = strat.fork()
-                fork.observe(action, iv, slice_state)
-                res = _dom_rec(
-                    sub,
-                    fork,
-                    slice_state,
-                    memo,
-                    search,
-                )
-                if res is not INFEASIBLE:
-                    table[tup] = res
-            if not table:
-                feasible_cover = False
-                break
-            tables.append((iv, table))
-        if not feasible_cover:
-            continue
-        plan = plan_dp(
-            [(iv, {tup: res[0] for tup, res in tbl.items()}) for iv, tbl in tables],
-            (1,) * t,
-            "min",
-        )
-        if plan is INFEASIBLE:
-            continue
-        assignment, _total = plan
-        union = frozenset()
-        prov = []
-        for iv, tbl in tables:
-            res = tbl[assignment[iv]]
-            union |= _bag_set(res[1])
-            prov.extend(res[2])
-        cand = (len(union), union, prov)
-        if best is INFEASIBLE or cand[0] < best[0]:
-            best = cand
-            best_residue = residue
-    if best is INFEASIBLE:
+def _dom_slices(inst, g, lam, intervals, r):
+    """Every hit-set goes to one interval whose core it meets; each
+    interval is tried with every subset of the hit-sets it can host."""
+    cores = [_preimage(lam, g, *margin(iv, 2 * r)) for iv in intervals] if inst.hits else []
+    avail = [[i for i, core in enumerate(cores) if h & core] for h in inst.hits]
+    if not all(avail):
         return INFEASIBLE
+    return [(iv, _dom_tables(inst, lam, iv, r, i, avail)) for i, iv in enumerate(intervals)]
+
+
+def _dom_tables(inst, lam, iv, r, i, avail):
+    """0/1 tuples over the hit-sets, j being 1 only if interval i can
+    host hit-set j, each with its slice."""
+    for tup in product(*[(0, 1) if i in opts else (0,) for opts in avail]):
+        assigned = [h for h, b in zip(inst.hits, tup) if b]
+        yield tup, slice_domset(inst, lam, iv, r, assigned)
+
+
+def _dom_combine(inst, tables):
+    """The cheapest plan that puts every hit-set in exactly one slice."""
+    plan = plan_dp(
+        [(iv, {tup: res[0] for tup, res in table.items()}) for iv, table in tables],
+        (1,) * len(inst.hits),
+        "min",
+    )
+    if plan is INFEASIBLE:
+        return INFEASIBLE
+    assignment, _total = plan
+    return [table[assignment[iv]] for iv, table in tables]
+
+
+def _dom_check(inst, g, chosen):
     for x in inst.demand:
-        assert x in best[1] or state.graph.adj[x] & best[1], (
-            "combined slices fail to dominate vertex %d" % x
-        )
-    entry = {"round": state.round + 1, "ell": ell, "residue": best_residue}
-    return (best[0], (best[1], None), [entry] + best[2])
+        if x not in chosen and not g.adj[x] & chosen:
+            raise SolverInvariantError("combined slices fail to dominate vertex %d" % x)
 
 
-def _tuples_for_interval(t, i, avail):
-    """0/1 tuples over the hit-sets where j may be 1 only if interval i
-    can host hit-set j."""
-    tuples = [()]
-    for j in range(t):
-        opts = (0, 1) if i in avail[j] else (0,)
-        tuples = [tup + (b,) for tup in tuples for b in opts]
-    return tuples
+_DOMSET = _Problem(
+    "domset", False, 1, _dom_leaf, _dom_key, _dom_branches, _dom_slices, _dom_combine, _dom_check
+)
 
 
 # ---------------------------------------------------------------------------
-# independent set
+# independent set: the walk's instance is the forbidden set as a bitmask,
+# bit v for vertex v
 
 
-def slice_mis(inst, lam, interval, r):
-    g = inst.graph
-    keep = _preimage(lam, g, *interval)
-    core = _preimage(lam, g, *margin(interval, 2 * r))
-    forb = (frozenset(inst.forbidden) | (keep - core)) & keep
-    return ISInstance(g.induced(keep), forb)
+def slice_mis(forbidden, lam, interval, r):
+    """Forbidden bitmask of the slice on interval: the vertices outside
+    the core margin are forbidden too, so that the independent sets of
+    distinct slices cannot be adjacent."""
+    keep = _label_bits(lam, *interval)
+    core = _label_bits(lam, *margin(interval, 2 * r))
+    return (forbidden | (keep & ~core)) & keep
 
 
-def _mis_rec(inst, strat, state, memo, search, fbits=None):
-    """fbits, when the caller knows it: inst.forbidden as bits relative
-    to the smallest vertex, as in memo keys."""
-    search.tick()
-    g = state.graph
-    if g.n == 0:
-        return (0, None, [])
-    key = None
-    if memo is not None:
-        if fbits is None:
-            fbits = _bits_from(g.vertices[0], inst.forbidden)
-        key = search.memo_key(strat, state, fbits)
-        if key in memo:
-            return memo[key]
-    action = strat.next_action(state)
-    if action.kind == DELETE:
-        v = g.smallest()
-        ns = apply_delete(state)
-        strat_a = strat.fork()
-        strat_a.observe(action, None, ns)
-        strat.observe(action, None, ns)
-        shift = ns.graph.vertices[0] - v if ns.graph.n else 0
-        res_a = None
-        if v not in inst.forbidden:
-            # every neighbor of the smallest vertex survives its deletion
-            sub = ISInstance(ns.graph, inst.forbidden | g.adj[v])
-            fa = None if fbits is None else (fbits | _bits_from(v, g.adj[v])) >> shift
-            ra = _mis_rec(sub, strat_a, ns, memo, search, fa)
-            res_a = (ra[0] + 1, (v, ra[1]), ra[2])
-        sub_b = ISInstance(ns.graph, inst.forbidden - {v})
-        fb = None if fbits is None else fbits >> shift
-        res_b = _mis_rec(sub_b, strat, ns, memo, search, fb)
-        out = res_a if res_a is not None and res_a[0] > res_b[0] else res_b
-    else:
-        lam = action.layering
-        ell = state.rseq.head
-        r = 1
-        best = None
-        best_residue = None
-        for residue, intervals in _dedup_covers(ell, r, lam):
-            union = frozenset()
-            prov = []
-            for iv in intervals:
-                slice_state = apply_restrict(state, lam, iv)
-                fork = strat.fork()
-                fork.observe(action, iv, slice_state)
-                sub = slice_mis(inst, lam, iv, r)
-                res = _mis_rec(
-                    sub, fork, slice_state, memo, search
-                )
-                union |= _bag_set(res[1])
-                prov.extend(res[2])
-            if best is None or len(union) > best[0]:
-                best = (len(union), union, prov)
-                best_residue = residue
-        assert best is not None
-        chosen = best[1]
-        assert not (chosen & inst.forbidden)
-        for u in chosen:
-            assert not (g.adj[u] & chosen), "combined slices are not independent"
-        entry = {"round": state.round + 1, "ell": ell, "residue": best_residue}
-        out = (best[0], (chosen, None), [entry] + best[2])
-    if memo is not None:
-        memo[key] = out
-    return out
+def _mis_branches(forbidden, g, h):
+    v = g.vertices[0]
+    skip = (None, forbidden & ~(1 << v))
+    if forbidden >> v & 1:
+        return [skip]
+    # every neighbour of the smallest vertex survives its deletion
+    return [(v, forbidden | _bits_from(0, g.adj[v])), skip]
+
+
+def _mis_slices(forbidden, g, lam, intervals, r):
+    return [(iv, [(None, slice_mis(forbidden, lam, iv, r))]) for iv in intervals]
+
+
+def _mis_check(forbidden, g, chosen):
+    for u in chosen:
+        if forbidden >> u & 1:
+            raise SolverInvariantError("combined slices choose forbidden vertex %d" % u)
+        if g.adj[u] & chosen:
+            raise SolverInvariantError("combined slices are not independent")
+
+
+_MIS = _Problem(
+    "mis", True, 1, _empty, lambda f, lo: f >> lo, _mis_branches, _mis_slices, _union, _mis_check
+)
 
 
 # ---------------------------------------------------------------------------
-# induced c-colorable subgraph
+# induced c-colorable subgraph: the walk's instance is a tuple of
+# (colour, bitmask of the vertices whose list holds it), and bag cells
+# are (vertex, colour) pairs
 
 
-def slice_ccolorable(inst, lam, interval):
+def slice_ccolorable(lists, lam, interval):
     """Keep the interior of the interval: one label trimmed from both
     ends, so unions over a non-overlapping cover stay non-adjacent."""
-    g = inst.graph
-    keep = _preimage(lam, g, *margin(interval, 1))
-    lists = dict(inst.lists)
-    return ColorInstance(
-        g.induced(keep), inst.colors, tuple((v, lists[v]) for v in sorted(keep))
-    )
+    keep = _label_bits(lam, *margin(interval, 1))
+    return tuple((a, m & keep) for a, m in lists)
 
 
-def _col_rec(inst, strat, state, memo, search):
-    search.tick()
-    g = state.graph
-    if g.n == 0:
-        return (0, {}, [])
-    key = None
-    if memo is not None:
-        key = (search.memo_key(strat, state), inst.lists)
-        if key in memo:
-            return memo[key]
-    action = strat.next_action(state)
-    lists = dict(inst.lists)
-    if action.kind == DELETE:
-        v = g.smallest()
-        ns = apply_delete(state)
-        live = sorted(ns.graph.vertex_set)
-        strat.observe(action, None, ns)
-        # colors with identical occurrence pattern are interchangeable
-        groups = {}
-        for a in sorted(lists[v]):
-            occ = frozenset(u for u in live if a in lists[u])
-            groups.setdefault(occ, a)
-        best = None
-        for a in sorted(groups.values()):
-            new_lists = tuple(
-                (u, lists[u] - {a} if u in g.adj[v] else lists[u]) for u in live
-            )
-            fork = strat.fork()
-            res = _col_rec(
-                ColorInstance(ns.graph, inst.colors, new_lists),
-                fork,
-                ns,
-                memo,
-                search,
-            )
-            col = dict(res[1])
-            col[v] = a
-            cand = (res[0] + 1, col, res[2])
-            if best is None or cand[0] > best[0]:
-                best = cand
-        skip_lists = tuple((u, lists[u]) for u in live)
-        res = _col_rec(
-            ColorInstance(ns.graph, inst.colors, skip_lists),
-            strat,
-            ns,
-            memo,
-            search,
-        )
-        if best is None or res[0] > best[0]:
-            best = res
-        out = best
-    else:
-        lam = action.layering
-        ell = state.rseq.head
-        best = None
-        best_residue = None
-        for residue, intervals in _dedup_covers(ell, 0, lam):
-            combined = {}
-            prov = []
-            for iv in intervals:
-                inner = margin(iv, 1)
-                if inner[0] > inner[1]:
-                    continue
-                slice_state = apply_restrict(state, lam, inner)
-                fork = strat.fork()
-                fork.observe(action, inner, slice_state)
-                sub = slice_ccolorable(inst, lam, iv)
-                res = _col_rec(
-                    sub, fork, slice_state, memo, search
-                )
-                combined.update(res[1])
-                prov.extend(res[2])
-            if best is None or len(combined) > best[0]:
-                best = (len(combined), combined, prov)
-                best_residue = residue
-        assert best is not None
-        coloring = best[1]
-        for u, a in coloring.items():
-            assert a in lists[u]
-            for w in g.adj[u]:
-                assert coloring.get(w) != a, "combined slices collide on an edge"
-        entry = {"round": state.round + 1, "ell": ell, "residue": best_residue}
-        out = (best[0], coloring, [entry] + best[2])
-    if memo is not None:
-        memo[key] = out
+def _col_key(lists, lo):
+    return tuple(m >> lo for _, m in lists)
+
+
+def _col_branches(lists, g, h):
+    """The smallest vertex v is skipped or takes a colour a, which then
+    leaves its neighbours' lists.  Colours that occur on the same other
+    vertices are interchangeable, so only the smallest of them is
+    tried; smaller colours come later, so that they win ties."""
+    v = g.vertices[0]
+    rest = tuple((a, m & ~(1 << v)) for a, m in lists)
+    nbrs = _bits_from(0, g.adj[v])
+    seen = set()
+    coloured = []
+    for (a, m), (_, occ) in zip(lists, rest):
+        if m >> v & 1 and occ not in seen:
+            seen.add(occ)
+            sub = tuple((b, o & ~nbrs if b == a else o) for b, o in rest)
+            coloured.append(((v, a), sub))
+    return [(None, rest)] + coloured[::-1]
+
+
+def _col_slices(lists, g, lam, intervals, r):
+    out = []
+    for iv in intervals:
+        inner = margin(iv, 1)
+        if inner[0] <= inner[1]:
+            out.append((inner, [(None, slice_ccolorable(lists, lam, iv))]))
     return out
+
+
+def _col_check(lists, g, chosen):
+    colour = dict(chosen)
+    allowed = dict(lists)
+    if len(colour) != len(chosen):
+        raise SolverInvariantError("combined slices colour a vertex twice")
+    for u, a in colour.items():
+        if not allowed[a] >> u & 1:
+            raise SolverInvariantError("vertex %d coloured off its list" % u)
+        if any(colour.get(w) == a for w in g.adj[u]):
+            raise SolverInvariantError("combined slices collide on an edge")
+
+
+_COLORABLE = _Problem(
+    "ccolorable", True, 0, _empty, _col_key, _col_branches, _col_slices, _union, _col_check
+)
 
 
 # ---------------------------------------------------------------------------
 # public solver entry points
 
 
-def _make_search(deadline_seconds=None, max_nodes=None):
-    # long delete stretches recurse one level per round
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 100000))
+def _solve(prob, graph, inst, strategy, k, memo, deadline_seconds, max_nodes):
     dl = None if deadline_seconds is None else time.monotonic() + deadline_seconds
-    return _Search(dl, max_nodes)
+    state = GameState(graph, ScheduleSeq(prob.name, k))
+    memo = {} if memo else None
+    return _walk(prob, inst, strategy.fork(), state, memo, _Search(dl, max_nodes))
 
 
 def solve_domset(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
-    state = GameState(inst.graph, ScheduleSeq("domset", k))
-    search = _make_search(deadline_seconds, max_nodes)
-    res = _dom_rec(inst, strategy.fork(), state, {} if memo else None, search)
+    res = _solve(_DOMSET, inst.graph, inst, strategy, k, memo, deadline_seconds, max_nodes)
     if res is INFEASIBLE:
         return Solution("domset", False)
     return Solution("domset", True, _bag_set(res[1]), None, res[2])
 
 
 def solve_mis(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
-    state = GameState(inst.graph, ScheduleSeq("mis", k))
-    search = _make_search(deadline_seconds, max_nodes)
-    res = _mis_rec(inst, strategy.fork(), state, {} if memo else None, search)
+    forbidden = _bits_from(0, inst.forbidden)
+    res = _solve(_MIS, inst.graph, forbidden, strategy, k, memo, deadline_seconds, max_nodes)
     return Solution("mis", True, _bag_set(res[1]), None, res[2])
 
 
 def solve_ccolorable(
     inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None
 ):
-    state = GameState(inst.graph, ScheduleSeq("ccolorable", k))
-    search = _make_search(deadline_seconds, max_nodes)
-    res = _col_rec(inst, strategy.fork(), state, {} if memo else None, search)
-    return Solution(
-        "ccolorable", True, frozenset(res[1]), dict(sorted(res[1].items())), res[2]
-    )
+    lists = dict(inst.lists)
+    palette = sorted(frozenset().union(*lists.values()))
+    masks = tuple((a, _bits_from(0, [v for v in lists if a in lists[v]])) for a in palette)
+    res = _solve(_COLORABLE, inst.graph, masks, strategy, k, memo, deadline_seconds, max_nodes)
+    colours = dict(sorted(_bag_set(res[1])))
+    return Solution("ccolorable", True, frozenset(colours), colours, res[2])
 
 
 def verify_solution(problem, inst, solution):

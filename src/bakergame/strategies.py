@@ -49,11 +49,6 @@ class StrategyError(RuntimeError):
     pass
 
 
-# A sequence index this large can only be reached after more rounds
-# than any refereed game allows; treat queries beyond it as divergence.
-SEQUENCE_INDEX_LIMIT = 10**7
-
-
 class DestroyerStrategy:
     """Base class.  Subclasses rebind their memory attributes instead of
     mutating them, name in SUBS the attributes holding sub-strategies,

@@ -111,6 +111,26 @@ def test_solve_budget_exit(tmp_path, capsys):
     assert code == 4
 
 
+def test_solve_invalid_solution_exit(tmp_path, capsys, monkeypatch):
+    from bakergame import ptas
+
+    g = tmp_path / "g.gr"
+    run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(g)])
+
+    def adjacent(inst, *args, **kwargs):
+        return ptas.Solution("mis", True, frozenset(inst.graph.edge_list()[0]))
+
+    monkeypatch.setattr(ptas, "solve_mis", adjacent)
+    code = main(
+        ["solve", "--problem", "mis", "--graph", str(g),
+         "--strategy", "minorfree:5", "--k", "2"]
+    )
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.out == ""
+    assert "invalid solution" in captured.err
+
+
 def test_bad_file_exit(tmp_path, capsys):
     g = tmp_path / "bad.gr"
     g.write_text("e 0 1\n")

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -167,24 +170,71 @@ def test_provenance_reports_windows():
 
 
 @pytest.mark.parametrize(
-    "problem, rows, cols, nodes",
+    "problem, rows, cols, seed, nodes",
     [
-        ("mis", 4, 4, 600),
-        ("mis", 5, 5, 1971),
-        ("ccolorable", 4, 4, 3455),
-        ("ccolorable", 5, 5, 23090),
+        pytest.param("mis", 4, 4, None, 600, id="mis-4-4-600"),
+        pytest.param("mis", 5, 5, None, 1971, id="mis-5-5-1971"),
+        pytest.param("mis", 4, 4, 1, 407, id="mis-4-4-seed1-407"),
+        pytest.param("ccolorable", 4, 4, None, 3455, id="ccolorable-4-4-3455"),
+        pytest.param("ccolorable", 5, 5, None, 23090, id="ccolorable-5-5-23090"),
+        pytest.param("ccolorable", 4, 4, 0, 2003, id="ccolorable-4-4-seed0-2003"),
+        pytest.param("domset", 4, 4, None, 2605, id="domset-4-4-2605"),
+        pytest.param("domset", 5, 5, None, 15497, id="domset-5-5-15497"),
+        pytest.param("domset", 4, 4, 0, 3915, id="domset-4-4-seed0-3915"),
     ],
 )
-def test_memo_node_counts_pinned(problem, rows, cols, nodes):
+def test_memo_node_counts_pinned(problem, rows, cols, seed, nodes):
     # Exact search sizes at k = 2 with the memo on: a change to forking
     # or to memo keys that altered which states count as equal would
-    # move them.
+    # move them.  seed None is the full instance, otherwise the draw of
+    # gen_random_instance (mis seed 1 forbids 4 vertices, domset seed 0
+    # has two hit-sets).
     g2, st, _ = build_strategy("minorfree:5", gen_grid(rows, cols))
-    if problem == "mis":
-        inst, solve = ptas.ISInstance.full(g2), ptas.solve_mis
+    if seed is not None:
+        inst = gen_random_instance(problem, g2, seed=seed)
+    elif problem == "mis":
+        inst = ptas.ISInstance.full(g2)
+    elif problem == "domset":
+        inst = ptas.DomSetInstance.full(g2)
     else:
-        inst, solve = ptas.ColorInstance.full(g2, 2), ptas.solve_ccolorable
+        inst = ptas.ColorInstance.full(g2, 2)
+    solve = {
+        "mis": ptas.solve_mis,
+        "domset": ptas.solve_domset,
+        "ccolorable": ptas.solve_ccolorable,
+    }[problem]
     sol = solve(inst, st.fork(), 2, memo=True, max_nodes=nodes)
-    assert ptas.verify_solution(problem, inst, sol)
+    assert sol.feasible and ptas.verify_solution(problem, inst, sol)
     with pytest.raises(ptas.BudgetExceededError):
         solve(inst, st.fork(), 2, memo=True, max_nodes=nodes - 1)
+
+
+_DEEP_GAME = """
+import sys
+from bakergame import ptas
+from bakergame.generators import gen_grid
+from bakergame.strategies import build_strategy
+
+sys.setrecursionlimit(100)
+g2, st, _ = build_strategy("minorfree:5", gen_grid(5, 20))
+inst = ptas.ISInstance.full(g2)
+sol = ptas.solve_mis(inst, st.fork(), 2, memo=True, max_nodes=170096)
+try:
+    ptas.solve_mis(inst, st.fork(), 2, memo=True, max_nodes=170095)
+    print("budget not reached")
+except ptas.BudgetExceededError:
+    pass
+print(sol.size, ptas.verify_solution("mis", inst, sol), sys.getrecursionlimit())
+"""
+
+
+def test_deep_game_needs_no_deep_recursion():
+    # The 5x20 game is 102 rounds deep; a recursive solver needs about
+    # 140 Python frames for it, more than the limit of 100 set here.
+    src = os.path.dirname(os.path.dirname(ptas.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_GAME], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["50", "True", "100"]
