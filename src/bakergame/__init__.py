@@ -50,16 +50,8 @@ from .strategies import (
     StrategyError,
     build_strategy,
     chordal_geodesic_partition,
-    minor_free_descriptor,
     parse_descriptor,
     round_bound,
-    strategy_chordal,
-    strategy_cliquesum,
-    strategy_distortion,
-    strategy_edgeless,
-    strategy_minor_free,
-    strategy_quotient,
-    strategy_subgraph,
     verify_minor_witness,
 )
 from .covers import Cover, all_covers, margin, occupied_intervals, plan_dp

@@ -26,7 +26,6 @@ from .strategies import (
     MinorWitness,
     StrategyError,
     build_strategy,
-    parse_descriptor,
     round_bound,
 )
 
@@ -113,7 +112,7 @@ def cmd_play(args):
         report["rseq"] = args.rseq
         report["preserver"] = args.preserver
         try:
-            report["round_bound"] = round_bound(parse_descriptor(args.strategy), rseq)
+            report["round_bound"] = round_bound(strategy.descriptor, rseq)
         except SequenceError:
             report["round_bound"] = None
         if perm is not None:

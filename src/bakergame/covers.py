@@ -72,20 +72,6 @@ def occupied_intervals(cover, lam):
     return out
 
 
-def mid_margins_partition(cover, lo, hi):
-    """True iff the mid-margins of the cover tile [lo, hi] exactly once."""
-    counts = {x: 0 for x in range(lo, hi + 1)}
-    step = cover.step
-    first = lo - cover.ell + 1
-    s = first + (cover.residue - first) % step
-    while s <= hi:
-        mlo, mhi = margin(cover.interval_at(s), cover.r)
-        for x in range(max(mlo, lo), min(mhi, hi) + 1):
-            counts[x] += 1
-        s += step
-    return all(c == 1 for c in counts.values())
-
-
 PLAN_INFEASIBLE = None
 
 

@@ -110,9 +110,6 @@ class ColorInstance:
         full = frozenset(range(1, c + 1))
         return ColorInstance(graph, c, tuple((v, full) for v in graph.vertices))
 
-    def list_of(self, v):
-        return dict(self.lists)[v]
-
 
 @dataclass(frozen=True)
 class EpsSchedule:

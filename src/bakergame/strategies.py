@@ -20,7 +20,9 @@ The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
 the contracted graph and translates contracted moves into a Restrict
 plus a burst of padding Deletes.  Round bounds for each composition
-are computed from descriptors by round_bound.
+are computed from descriptors by round_bound.  build_strategy reads
+descriptor text only through parse_descriptor and builds from the
+descriptor it returns; every strategy reports that descriptor.
 """
 
 import math
@@ -173,8 +175,17 @@ class SubgraphD:
     host: object
 
 
-def minor_free_descriptor(k):
-    return QuotientD(ChordalD(k - 2), k - 2)
+@dataclass(frozen=True)
+class MinorFreeD:
+    """No K_k minor: a quotient over a width-(k-2) geodesic partition
+    whose quotient graph is chordal of left-degree <= k-2, built by
+    chordal_geodesic_partition on a reordered graph."""
+
+    k: int
+
+    @property
+    def d(self):
+        return self.k - 2
 
 
 def _sat(v, cap):
@@ -218,6 +229,8 @@ def _rb(desc, r, cap):
         return desc.dim + math.floor(prod)
     if isinstance(desc, SubgraphD):
         return _rb(desc.host, r, cap)
+    if isinstance(desc, MinorFreeD):
+        return _rb(QuotientD(ChordalD(desc.d), desc.d), r, cap)
     raise StrategyError("unknown descriptor %r" % (desc,))
 
 
@@ -277,29 +290,19 @@ class EdgelessStrategy(DestroyerStrategy):
             self.phase = "delete"
 
 
-def strategy_edgeless():
-    return EdgelessStrategy()
-
-
-def strategy_chordal(d):
-    if d <= 0:
-        return EdgelessStrategy()
-    return ChordalStrategy(d)
-
-
 def _make_chain(layers, d):
     """Strategy for a graph split into consecutive layers, each layer
     inducing a chordal piece of left-degree <= d-1, with every lower
     prefix acting as a clique-sum base for the components above it."""
     layers = [frozenset(p) for p in layers if p]
+    leaf = ChordalD(d - 1)
     if len(layers) <= 1:
-        return strategy_chordal(d - 1)
-    base = frozenset().union(*layers[:-1])
+        return _build(leaf)
     return CliqueSumStrategy(
-        base=base,
+        base=frozenset().union(*layers[:-1]),
         inner=_make_chain(layers[:-1], d),
-        leaf_factory=partial(strategy_chordal, d - 1),
-        inner_descriptor=ChainD(d - 1, len(layers) - 1),
+        leaf_factory=partial(_build, leaf),
+        descriptor=CliqueSumD(ChainD(d - 1, len(layers) - 1), leaf),
     )
 
 
@@ -313,7 +316,7 @@ class ChordalStrategy(DestroyerStrategy):
 
     def __init__(self, d):
         if d < 1:
-            raise StrategyError("use strategy_edgeless for d = 0")
+            raise StrategyError("d = %d: use EdgelessStrategy for d <= 0" % d)
         self.d = d
         self.descriptor = ChordalD(d)
         self.phase = "spread"
@@ -388,19 +391,16 @@ class CliqueSumStrategy(DestroyerStrategy):
     the surviving component misses the base entirely, hand over to a
     fresh leaf strategy for the attached piece.  All strategies here
     read the sequence from the state, so no alignment padding is
-    needed before the handover."""
+    needed before the handover.  descriptor is the CliqueSumD that
+    inner (its base) and leaf_factory() (its leaf) play."""
 
     SUBS = ("inner", "leaf")
 
-    def __init__(self, base, inner, leaf_factory, inner_descriptor=None):
+    def __init__(self, base, inner, leaf_factory, descriptor):
         self.base = frozenset(base)
         self.inner = inner
         self.leaf_factory = leaf_factory
-        self.inner_descriptor = inner_descriptor
-        self.descriptor = CliqueSumD(
-            inner_descriptor if inner_descriptor is not None else getattr(inner, "descriptor", None),
-            None,
-        )
+        self.descriptor = descriptor
         self.sim_rseq = None
         self.j = 0
         self.phase = "spread"
@@ -409,7 +409,7 @@ class CliqueSumStrategy(DestroyerStrategy):
         self.exhausted = False
 
     def config(self):
-        return (self.leaf_factory, self.inner_descriptor, self.descriptor)
+        return (self.leaf_factory, self.descriptor)
 
     def state(self, ids):
         return (
@@ -494,25 +494,22 @@ class CliqueSumStrategy(DestroyerStrategy):
         self.phase = "spread"
 
 
-def strategy_cliquesum(base, inner, leaf_factory, inner_descriptor=None):
-    return CliqueSumStrategy(base, inner, leaf_factory, inner_descriptor)
-
-
 class QuotientStrategy(DestroyerStrategy):
     """Plays on a graph carrying a width-d geodesic partition by
     simulating a game on the quotient.  A contracted Restrict lifts
     through the partition; a contracted Delete of the first part turns
     into a Restrict on the extension of that part's stored layering.
     Either way a burst of d * head padding Deletes keeps the real
-    sequence aligned with the thinned one the simulation reads."""
+    sequence aligned with the thinned one the simulation reads.
+    descriptor is a QuotientD or MinorFreeD; its d is the width."""
 
     SUBS = ("inner",)
 
-    def __init__(self, inner, gp, d):
+    def __init__(self, inner, gp, descriptor):
         self.inner = inner
         self.gp = gp
-        self.d = d
-        self.descriptor = QuotientD(getattr(inner, "descriptor", None), d)
+        self.d = descriptor.d
+        self.descriptor = descriptor
         self.part_of = {v: i for i, p in enumerate(gp.parts) for v in p}
         self.h = gp.quotient_graph
         self.sim_rseq = None
@@ -522,8 +519,8 @@ class QuotientStrategy(DestroyerStrategy):
         self.exhausted = False
 
     def config(self):
-        # part_of is derived from gp
-        return (self.gp, self.d, self.descriptor)
+        # part_of is derived from gp, d from descriptor
+        return (self.gp, self.descriptor)
 
     def state(self, ids):
         return (
@@ -596,10 +593,6 @@ class QuotientStrategy(DestroyerStrategy):
         self.padding = self.d * head
 
 
-def strategy_quotient(inner, gp, d):
-    return QuotientStrategy(inner, gp, d)
-
-
 class DistortionStrategy(DestroyerStrategy):
     """One coordinate Restrict per embedding axis, then deletes; the
     embedding guarantees few survivors once every axis is pinned."""
@@ -644,10 +637,6 @@ class DistortionStrategy(DestroyerStrategy):
                 )
 
 
-def strategy_distortion(embedding):
-    return DistortionStrategy(embedding)
-
-
 class SubgraphStrategy(DestroyerStrategy):
     """Drives a host strategy on a supergraph with a dominating
     sequence and copies its moves down to the actual game."""
@@ -658,7 +647,7 @@ class SubgraphStrategy(DestroyerStrategy):
         self.host = host_strategy
         self.host_graph = host_state.graph  # every later host graph is induced from it
         self.host_state = host_state
-        self.descriptor = SubgraphD(getattr(host_strategy, "descriptor", None))
+        self.descriptor = SubgraphD(host_strategy.descriptor)
         self.pending = None
         self.checked = False
 
@@ -707,10 +696,6 @@ class SubgraphStrategy(DestroyerStrategy):
             self._own("host").observe(a, reply, ns)
         self.host_state = ns
         self.checked = False  # subgraph may shrink arbitrarily; recheck
-
-
-def strategy_subgraph(host_strategy, host_state):
-    return SubgraphStrategy(host_strategy, host_state)
 
 
 # ---------------------------------------------------------------------------
@@ -820,56 +805,88 @@ def chordal_geodesic_partition(graph, k):
     return PartitionResult(newg, perm, gp)
 
 
-def strategy_minor_free(graph, k):
-    """Return (reordered graph, strategy, perm) or a MinorWitness."""
-    res = chordal_geodesic_partition(graph, k)
-    if isinstance(res, MinorWitness):
-        return res
-    return res.graph, QuotientStrategy(strategy_chordal(k - 2), res.gp, k - 2), res.perm
-
-
 # ---------------------------------------------------------------------------
-# descriptor text grammar used by the command line
-
-
-def _split_args(text):
-    depth = 0
-    out = []
-    cur = []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    out.append("".join(cur))
-    return out
+# descriptor text grammar and the strategy builder
 
 
 def parse_descriptor(text, embedding=None):
-    """Text form -> descriptor; minorfree:<k> maps to its quotient form."""
-    text = text.strip()
-    if text == "edgeless":
-        return EdgelessD()
-    if text.startswith("chordal:"):
-        return ChordalD(int(text.split(":", 1)[1]))
-    if text.startswith("minorfree:"):
-        return minor_free_descriptor(int(text.split(":", 1)[1]))
-    if text == "distortion":
-        if embedding is None:
-            raise StrategyError("distortion needs an embedding")
-        return DistortionD(embedding.dim, embedding.beta)
-    if text.startswith("cliquesum(") and text.endswith(")"):
-        a, b = _split_args(text[len("cliquesum(") : -1])
-        return CliqueSumD(parse_descriptor(a, embedding), parse_descriptor(b, embedding))
-    if text.startswith("quotient(") and text.endswith(")"):
-        a, b = _split_args(text[len("quotient(") : -1])
-        return QuotientD(parse_descriptor(a, embedding), int(b))
-    raise StrategyError("unknown strategy descriptor %r" % text)
+    """Text form -> descriptor.  The one grammar of strategies:
+
+        edgeless | chordal:<d> | minorfree:<k> | distortion
+        | cliquesum(<a>,<b>) | quotient(<a>,<d>)
+
+    minorfree:<k> is valid only as the whole descriptor, since its
+    decomposition reorders the graph; distortion reads its dimension
+    and distortion from embedding.  Malformed text raises StrategyError
+    naming the text.
+    """
+    t = text.strip()
+    try:
+        if t == "edgeless":
+            return EdgelessD()
+        if t.startswith("chordal:"):
+            return ChordalD(int(t[len("chordal:") :]))
+        if t.startswith("minorfree:"):
+            return MinorFreeD(int(t[len("minorfree:") :]))
+        if t == "distortion":
+            if embedding is None:
+                raise StrategyError("distortion needs an embedding")
+            return DistortionD(embedding.dim, embedding.beta)
+        for head in ("cliquesum(", "quotient("):
+            if t.startswith(head) and t.endswith(")"):
+                break
+        else:
+            raise StrategyError("not a known form")
+        # split the arguments at the commas outside parentheses
+        args = [""]
+        depth = 0
+        for ch in t[len(head) : -1]:
+            if ch == "(":
+                depth += 1
+            elif ch == ")":
+                depth -= 1
+                if depth < 0:
+                    break
+            if ch == "," and depth == 0:
+                args.append("")
+            else:
+                args[-1] += ch
+        if depth != 0:
+            raise StrategyError("unbalanced parentheses")
+        if len(args) != 2:
+            raise StrategyError("%s...) takes 2 arguments, got %d" % (head, len(args)))
+        a = parse_descriptor(args[0], embedding)
+        if head == "quotient(":
+            b = int(args[1])
+        else:
+            b = parse_descriptor(args[1], embedding)
+        if MinorFreeD in (type(a), type(b)):
+            raise StrategyError("minorfree:<k> is valid only as the whole descriptor")
+        return QuotientD(a, b) if head == "quotient(" else CliqueSumD(a, b)
+    except (StrategyError, ValueError) as exc:
+        raise StrategyError("strategy descriptor %r: %s" % (text, exc)) from None
+
+
+def _build(desc, graph=None, embedding=None):
+    """Strategy for any descriptor but MinorFreeD; cliquesum and
+    quotient play on graph, distortion on embedding."""
+    if isinstance(desc, ChordalD) and desc.d > 0:
+        return ChordalStrategy(desc.d)
+    if isinstance(desc, (EdgelessD, ChordalD)):
+        return EdgelessStrategy()
+    if isinstance(desc, DistortionD):
+        return DistortionStrategy(embedding)
+    if isinstance(desc, CliqueSumD):
+        inner = _build(desc.base, graph, embedding)
+        leaf_factory = partial(_build, desc.leaf, graph, embedding)
+        return CliqueSumStrategy(graph.vertex_set, inner, leaf_factory, desc)
+    if isinstance(desc, QuotientD):
+        # the trivial partition: every vertex is its own part
+        parts = tuple(frozenset([v]) for v in graph.vertices)
+        layerings = tuple({v: 0} for v in graph.vertices)
+        gp = GeodesicPartition(parts, layerings, quotient(graph, parts))
+        return QuotientStrategy(_build(desc.inner, graph, embedding), gp, desc)
+    raise StrategyError("no strategy builds %r" % (desc,))
 
 
 def build_strategy(text, graph, embedding=None):
@@ -879,42 +896,10 @@ def build_strategy(text, graph, embedding=None):
     reorder the graph; a MinorWitness is returned instead when the
     requested clique minor exists.
     """
-    text = text.strip()
-    if text == "edgeless":
-        return graph, EdgelessStrategy(), None
-    if text.startswith("chordal:"):
-        return graph, strategy_chordal(int(text.split(":", 1)[1])), None
-    if text.startswith("minorfree:"):
-        res = strategy_minor_free(graph, int(text.split(":", 1)[1]))
-        if isinstance(res, MinorWitness):
-            return res
-        g2, strat, perm = res
-        return g2, strat, perm
-    if text == "distortion":
-        if embedding is None:
-            raise StrategyError("distortion needs an embedding")
-        return graph, DistortionStrategy(embedding), None
-    if text.startswith("cliquesum(") and text.endswith(")"):
-        a, b = _split_args(text[len("cliquesum(") : -1])
-        _, inner, _ = build_strategy(a, graph, embedding)
-        leaf_factory = partial(_build_fresh, b, graph, embedding)
-        strat = CliqueSumStrategy(
-            graph.vertex_set, inner, leaf_factory, parse_descriptor(a, embedding)
-        )
-        strat.descriptor = parse_descriptor(text, embedding)
-        return graph, strat, None
-    if text.startswith("quotient(") and text.endswith(")"):
-        a, b = _split_args(text[len("quotient(") : -1])
-        d = int(b)
-        parts = tuple(frozenset([v]) for v in graph.vertices)
-        layerings = tuple({v: 0} for v in graph.vertices)
-        gp = GeodesicPartition(parts, layerings, quotient(graph, parts))
-        _, inner, _ = build_strategy(a, graph, embedding)
-        strat = QuotientStrategy(inner, gp, d)
-        strat.descriptor = parse_descriptor(text, embedding)
-        return graph, strat, None
-    raise StrategyError("unknown strategy descriptor %r" % text)
-
-
-def _build_fresh(text, graph, embedding):
-    return build_strategy(text, graph, embedding)[1]
+    desc = parse_descriptor(text, embedding)
+    if not isinstance(desc, MinorFreeD):
+        return graph, _build(desc, graph, embedding), None
+    res = chordal_geodesic_partition(graph, desc.k)
+    if isinstance(res, MinorWitness):
+        return res
+    return res.graph, QuotientStrategy(_build(ChordalD(desc.d)), res.gp, desc), res.perm

@@ -47,12 +47,12 @@ from bakergame import (
     solve_ccolorable,
     solve_domset,
     solve_mis,
-    strategy_distortion,
     verify_minor_witness,
     verify_solution,
 )
 from bakergame.cli import main
 from bakergame.ptas import INFEASIBLE, slice_domset
+from bakergame.strategies import DistortionStrategy
 
 
 def path(n):
@@ -214,7 +214,7 @@ def test_criterion_3_minimax_meets_round_bounds():
                 checked += 1
     extra = [build_strategy("minorfree:5", gen_grid(3, 3))]
     dg, emb = gen_diag_grid(2)
-    extra.append((dg, strategy_distortion(emb), None))
+    extra.append((dg, DistortionStrategy(emb), None))
     for g2, st, _ in extra:
         for c in (1, 2):
             bound = round_bound(st.descriptor, ConstSeq(c))
@@ -229,7 +229,7 @@ def test_criterion_4_king_lattices_finish_quickly():
     for n in (2, 3):
         g, emb = gen_diag_grid(n)
         assert emb.beta == 1
-        st = strategy_distortion(emb)
+        st = DistortionStrategy(emb)
         assert minimax_rounds(st.fork(), GameState(g, ConstSeq(1))) <= 11
     assert time.monotonic() - t0 < 60.0
 

@@ -60,6 +60,38 @@ def test_play_minor_witness_exit(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "minor_witness"
 
 
+def test_play_distortion_json(tmp_path, capsys):
+    g = tmp_path / "g.gr"
+    e = tmp_path / "g.emb"
+    run(capsys, ["generate", "diaggrid", "--n", "2", "-o", str(g), "--embedding-out", str(e)])
+    code, out = run(
+        capsys,
+        ["play", "--graph", str(g), "--strategy", "distortion", "--embedding", str(e),
+         "--rseq", "const:1", "--json"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "win"
+    assert report["round_bound"] == 6  # dim + (beta * 1 + 1) ** dim
+
+
+def test_play_rejects_nested_minorfree(tmp_path, capsys):
+    k5 = tmp_path / "k5.gr"
+    lines = ["p graph 5 10"] + [
+        "e %d %d" % (u, v) for u in range(5) for v in range(u + 1, 5)
+    ]
+    k5.write_text("\n".join(lines) + "\n")
+    grid = tmp_path / "grid.gr"
+    run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(grid)])
+    for g in (k5, grid):
+        for text in ("cliquesum(minorfree:5,chordal:1)", "quotient(minorfree:5,3)"):
+            code = main(["play", "--graph", str(g), "--strategy", text, "--rseq", "const:1"])
+            captured = capsys.readouterr()
+            assert code == 1, (g.name, text)
+            assert captured.out == ""
+            assert captured.err.startswith("error:") and "minorfree" in captured.err
+
+
 def test_play_budget_exit(tmp_path, capsys):
     g = tmp_path / "g.gr"
     run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(g)])

@@ -10,7 +10,6 @@ from bakergame.covers import (
     all_covers,
     interval_labels,
     margin,
-    mid_margins_partition,
     occupied_intervals,
     plan_dp,
 )
@@ -40,11 +39,6 @@ def test_occupied_intervals():
     ivs = occupied_intervals(cover, lam)
     # [DERIVED] windows [-3,1] [0,4] [6,10] [9,13] contain labels
     assert ivs == [(-3, 1), (0, 4), (6, 10), (9, 13)]
-
-
-def test_mid_margins_tile():
-    cover = Cover(7, 1, 0)
-    assert mid_margins_partition(cover, -10, 30)
 
 
 def test_consecutive_overlap_is_2r():

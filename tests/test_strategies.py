@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bakergame.game import GameState, minimax_rounds, parse_preserver, play
@@ -5,19 +7,19 @@ from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
 from bakergame.graph import OrderedGraph, check_chordal_ordering, check_geodesic_partition
 from bakergame.sequences import ConstSeq, ScheduleSeq
 from bakergame.strategies import (
+    ChainD,
     ChordalD,
+    ChordalStrategy,
+    DistortionStrategy,
     EdgelessD,
+    MinorFreeD,
     MinorWitness,
     StrategyError,
+    SubgraphStrategy,
     build_strategy,
     chordal_geodesic_partition,
-    minor_free_descriptor,
     parse_descriptor,
     round_bound,
-    strategy_chordal,
-    strategy_distortion,
-    strategy_minor_free,
-    strategy_subgraph,
     verify_minor_witness,
 )
 
@@ -42,7 +44,7 @@ def test_round_bound_chordal_frozen():
 
 
 def test_round_bound_saturation():
-    desc = minor_free_descriptor(5)
+    desc = MinorFreeD(5)
     cap = 50
     assert round_bound(desc, ScheduleSeq("mis", 2), cap) == cap + 1
 
@@ -63,7 +65,7 @@ def test_minimax_meets_bounds():
 
 def test_chordal_rejects_wrong_graph():
     c4 = OrderedGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
-    strat = strategy_chordal(2)
+    strat = ChordalStrategy(2)
     t = play(strat, parse_preserver("max"), GameState(c4, ConstSeq(1)))
     assert t.outcome == "invalid"
     assert "chordal" in t.diagnostic
@@ -71,7 +73,7 @@ def test_chordal_rejects_wrong_graph():
 
 def test_chordal_rejects_large_left_degree():
     k4 = complete(4)
-    t = play(strategy_chordal(2), parse_preserver("max"), GameState(k4, ConstSeq(1)))
+    t = play(ChordalStrategy(2), parse_preserver("max"), GameState(k4, ConstSeq(1)))
     assert t.outcome == "invalid"
     assert "left-degree" in t.diagnostic
 
@@ -96,7 +98,7 @@ def test_schedule_sequences_still_win():
 
 
 def test_minor_witness_on_complete_graph():
-    res = strategy_minor_free(complete(4), 4)
+    res = build_strategy("minorfree:4", complete(4))
     assert isinstance(res, MinorWitness)
     assert verify_minor_witness(complete(4), res)
     assert res.k == 4
@@ -123,7 +125,7 @@ def test_decomposition_of_grid():
 
 def test_distortion_strategy_on_unit_grid():
     g, emb = gen_diag_grid(2)
-    strat = strategy_distortion(emb)
+    strat = DistortionStrategy(emb)
     t = play(strat, parse_preserver("max"), GameState(g, ConstSeq(1)))
     assert t.outcome == "win"
     # [PAPER] dim + prod(beta * r_i + 1) = 2 + 4 rounds at most
@@ -135,14 +137,14 @@ def test_distortion_rejects_wrong_embedding():
     from bakergame.graph import Embedding
 
     emb = Embedding(2, 1, {0: (0.0, 0.0), 1: (0.0, 2.0), 2: (2.0, 0.0), 3: (2.0, 2.0)})
-    t = play(strategy_distortion(emb), parse_preserver("max"), GameState(g, ConstSeq(1)))
+    t = play(DistortionStrategy(emb), parse_preserver("max"), GameState(g, ConstSeq(1)))
     assert t.outcome == "invalid"
 
 
 def test_subgraph_strategy():
     host, host_strat, _ = build_strategy("minorfree:5", gen_grid(3, 3))
     sub = host.induced({0, 1, 2, 4, 7})
-    strat = strategy_subgraph(host_strat, GameState(host, ConstSeq(2)))
+    strat = SubgraphStrategy(host_strat, GameState(host, ConstSeq(2)))
     t = play(strat, parse_preserver("max"), GameState(sub, ConstSeq(2)))
     assert t.outcome == "win"
 
@@ -152,8 +154,59 @@ def test_parse_descriptor():
     assert parse_descriptor("chordal:3") == ChordalD(3)
     nested = parse_descriptor("quotient(chordal:2,2)")
     assert nested.inner == ChordalD(2) and nested.d == 2
-    with pytest.raises(StrategyError):
-        parse_descriptor("nonsense")
+    assert parse_descriptor(" minorfree:5 ") == MinorFreeD(5)
+    bad = [
+        "nonsense",
+        "chordal:x",
+        "distortion",  # no embedding given
+        "quotient(chordal:2)",
+        "quotient(chordal:2,x)",
+        "cliquesum(chordal:1,chordal:1,chordal:1)",
+        "cliquesum(chordal:1),chordal:1)",
+        "cliquesum((chordal:1,chordal:1)",
+        # minorfree reorders the graph, so it cannot sit inside another strategy
+        "cliquesum(minorfree:5,chordal:1)",
+        "cliquesum(chordal:1,quotient(minorfree:5,3))",
+    ]
+    for text in bad:
+        with pytest.raises(StrategyError, match=re.escape(repr(text))):
+            parse_descriptor(text)
+
+
+def test_built_descriptor_matches_grammar():
+    edgeless = OrderedGraph(range(3), [])
+    cases = [
+        ("edgeless", edgeless),
+        ("chordal:0", edgeless),
+        ("chordal:1", path(5)),
+        ("chordal:2", complete(3)),
+        ("chordal:3", gen_ktree(8, 3, seed=2)),
+        ("minorfree:4", gen_grid(2, 3)),
+        ("minorfree:5", gen_grid(3, 3)),
+        ("cliquesum(chordal:2,chordal:2)", complete(3)),
+        ("quotient(chordal:2,2)", complete(3)),
+        ("cliquesum(quotient(chordal:1,1),chordal:1)", path(5)),
+    ]
+    for text, g in cases:
+        g2, strat, _ = build_strategy(text, g)
+        for c in (1, 2):
+            bound = round_bound(parse_descriptor(text), ConstSeq(c))
+            assert round_bound(strat.descriptor, ConstSeq(c)) == bound, (text, c)
+            t = play(strat.fork(), parse_preserver("max"), GameState(g2, ConstSeq(c)))
+            assert t.outcome == "win" and t.rounds <= bound, (text, c)
+
+
+def test_chain_descriptor_is_whole():
+    # with every BFS level inside one window, a chordal strategy hands
+    # over to a chain of clique-sums, one level per leaf
+    g = gen_ktree(9, 2, seed=1)
+    strat = ChordalStrategy(2)
+    strat.next_action(GameState(g, ConstSeq(50)))
+    levels = len(set(g.bfs_distances(g.smallest()).values()))
+    assert levels > 1
+    for c in (1, 2):
+        want = round_bound(ChainD(1, levels), ConstSeq(c))
+        assert round_bound(strat.delegate.descriptor, ConstSeq(c)) == want
 
 
 def test_fork_independence():
