@@ -48,11 +48,6 @@ def margin(interval, d):
     return (lo + d, hi - d)
 
 
-def interval_labels(interval, labels):
-    lo, hi = interval
-    return [lab for lab in labels if lo <= lab <= hi]
-
-
 def occupied_intervals(cover, lam):
     """Intervals of the cover containing at least one label of lam."""
     labels = set(lam.values())

@@ -197,16 +197,6 @@ class OrderedGraph:
     def is_connected(self):
         return self.n <= 1 or len(self.bfs_distances(self.smallest())) == self.n
 
-    def relabel_compact(self):
-        """Return (graph on 0..n-1, mapping old id -> new id)."""
-        perm = {v: i for i, v in enumerate(self.vertices)}
-        adj = {perm[v]: frozenset(perm[w] for w in self.adj[v]) for v in self.vertices}
-        g = OrderedGraph(range(self.n), _adj=adj)
-        g.annotations.update(
-            {name: frozenset(perm[v] for v in s) for name, s in self.annotations.items()}
-        )
-        return g, perm
-
     def __eq__(self, other):
         if not isinstance(other, OrderedGraph):
             return NotImplemented

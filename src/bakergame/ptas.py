@@ -24,6 +24,7 @@ the window schedule makes those products converge to 1 +/- 1/k.
 
 import pickle
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -238,34 +239,39 @@ def _candidate_residues(ell, r, labels):
 
 def _dedup_covers(ell, r, lam):
     """Yield (residue, intervals) with distinct slicing signatures,
-    smallest residue first."""
+    smallest residue first.
+
+    A signature holds, per occupied interval trimmed by d = 0, r, 2r and
+    1 (the last matters when r = 0, for interior-keeping slices), the
+    range of sorted labels inside; labels own disjoint, non-empty vertex
+    sets, so equal ranges mean equal slices.  Going from residue rho - 1
+    to rho shifts every interval right by one, so a trimmed interval
+    gains or loses a label lab only if rho is lab - d + 1 or
+    lab - ell + d + 1 modulo the step.  A candidate that directly follows
+    the previous one and is none of these moves repeats a signature
+    already seen, and is skipped without building its cover."""
     labels = sorted(set(lam.values()))
-    by_label = {}
-    for v, lab in lam.items():
-        by_label.setdefault(lab, []).append(v)
+    trims = (0, r, 2 * r, 1)
+    step = ell - 2 * r
+    # ell <= 2r admits no cover, and _candidate_residues proposes none
+    moves = (
+        {(lab - t) % step for lab in labels for d in trims for t in (d - 1, ell - d - 1)}
+        if step > 0
+        else ()
+    )
     seen = set()
+    prev = None
     for residue in _candidate_residues(ell, r, labels):
-        cover = Cover(ell, r, residue)
-        intervals = occupied_intervals(cover, lam)
+        repeat = residue - 1 == prev and residue not in moves
+        prev = residue
+        if repeat:
+            continue
+        intervals = occupied_intervals(Cover(ell, r, residue), lam)
         sig = []
-        for iv in intervals:
-            sl = frozenset(
-                v for lab in labels if iv[0] <= lab <= iv[1] for v in by_label[lab]
-            )
-            mlo, mhi = margin(iv, r)
-            mid = frozenset(
-                v for lab in labels if mlo <= lab <= mhi for v in by_label[lab]
-            )
-            clo, chi = margin(iv, 2 * r)
-            core = frozenset(
-                v for lab in labels if clo <= lab <= chi for v in by_label[lab]
-            )
-            # one-label trim matters when r = 0 (interior-keeping slices)
-            ilo, ihi = margin(iv, 1)
-            interior = frozenset(
-                v for lab in labels if ilo <= lab <= ihi for v in by_label[lab]
-            )
-            sig.append((sl, mid, core, interior))
+        for lo, hi in intervals:
+            for d in trims:
+                i, j = bisect_left(labels, lo + d), bisect_right(labels, hi - d)
+                sig.append((i, j) if i < j else None)
         sig = tuple(sig)
         if sig not in seen:
             seen.add(sig)

@@ -809,25 +809,33 @@ def chordal_geodesic_partition(graph, k):
 # descriptor text grammar and the strategy builder
 
 
+def _int_at_least(text, low, form):
+    n = int(text)
+    if n < low:
+        raise StrategyError("%s needs a number >= %d, got %d" % (form, low, n))
+    return n
+
+
 def parse_descriptor(text, embedding=None):
     """Text form -> descriptor.  The one grammar of strategies:
 
         edgeless | chordal:<d> | minorfree:<k> | distortion
         | cliquesum(<a>,<b>) | quotient(<a>,<d>)
 
-    minorfree:<k> is valid only as the whole descriptor, since its
-    decomposition reorders the graph; distortion reads its dimension
-    and distortion from embedding.  Malformed text raises StrategyError
-    naming the text.
+    with d >= 0 in chordal, d >= 1 in quotient and k >= 3, the
+    smallest values a strategy can win with.  minorfree:<k> is valid
+    only as the whole descriptor, since its decomposition reorders the
+    graph; distortion reads its dimension and distortion from
+    embedding.  Malformed text raises StrategyError naming the text.
     """
     t = text.strip()
     try:
         if t == "edgeless":
             return EdgelessD()
         if t.startswith("chordal:"):
-            return ChordalD(int(t[len("chordal:") :]))
+            return ChordalD(_int_at_least(t[len("chordal:") :], 0, "chordal:<d>"))
         if t.startswith("minorfree:"):
-            return MinorFreeD(int(t[len("minorfree:") :]))
+            return MinorFreeD(_int_at_least(t[len("minorfree:") :], 3, "minorfree:<k>"))
         if t == "distortion":
             if embedding is None:
                 raise StrategyError("distortion needs an embedding")
@@ -857,7 +865,7 @@ def parse_descriptor(text, embedding=None):
             raise StrategyError("%s...) takes 2 arguments, got %d" % (head, len(args)))
         a = parse_descriptor(args[0], embedding)
         if head == "quotient(":
-            b = int(args[1])
+            b = _int_at_least(args[1], 1, "quotient(<a>,<d>)")
         else:
             b = parse_descriptor(args[1], embedding)
         if MinorFreeD in (type(a), type(b)):

@@ -92,6 +92,17 @@ def test_play_rejects_nested_minorfree(tmp_path, capsys):
             assert captured.err.startswith("error:") and "minorfree" in captured.err
 
 
+def test_play_rejects_numbers_that_cannot_win(tmp_path, capsys):
+    grid = tmp_path / "grid.gr"
+    run(capsys, ["generate", "grid", "--rows", "2", "--cols", "3", "-o", str(grid)])
+    for text in ("chordal:-1", "quotient(chordal:2,0)", "minorfree:2"):
+        code = main(["play", "--graph", str(grid), "--strategy", text, "--rseq", "const:1"])
+        captured = capsys.readouterr()
+        assert code == 1, text
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and text in captured.err
+
+
 def test_play_budget_exit(tmp_path, capsys):
     g = tmp_path / "g.gr"
     run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(g)])

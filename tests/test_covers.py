@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bakergame.covers import (
     Cover,
     all_covers,
-    interval_labels,
     margin,
     occupied_intervals,
     plan_dp,
@@ -27,10 +26,6 @@ def test_cover_count_and_validation():
 def test_margin():
     assert margin((0, 6), 1) == (1, 5)
     assert margin((0, 6), 0) == (0, 6)
-
-
-def test_interval_labels():
-    assert interval_labels((2, 5), [0, 2, 3, 5, 9]) == [2, 3, 5]
 
 
 def test_occupied_intervals():

@@ -59,14 +59,6 @@ def test_components_ordered_by_smallest_member():
     assert [min(c) for c in comps] == [0, 2, 3]
 
 
-def test_relabel_compact():
-    g = OrderedGraph([5, 9, 12], [(5, 12)])
-    h, perm = g.relabel_compact()
-    assert h.vertices == (0, 1, 2)
-    assert perm == {5: 0, 9: 1, 12: 2}
-    assert h.has_edge(0, 2)
-
-
 def test_layering_validity():
     g = path(3)
     assert is_valid_layering(g, {0: 0, 1: 1, 2: 1})

@@ -1,11 +1,13 @@
 import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from bakergame import ptas
+from bakergame.covers import Cover, margin, occupied_intervals
 from bakergame.generators import gen_grid, gen_ktree, gen_random_instance
 from bakergame.graph import OrderedGraph
 from bakergame.strategies import build_strategy
@@ -207,6 +209,83 @@ def test_memo_node_counts_pinned(problem, rows, cols, seed, nodes):
     assert sol.feasible and ptas.verify_solution(problem, inst, sol)
     with pytest.raises(ptas.BudgetExceededError):
         solve(inst, st.fork(), 2, memo=True, max_nodes=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "problem, n, seed, nodes",
+    [
+        pytest.param("mis", 8, 4, 140, id="ktree-mis-8-seed4-140"),
+        pytest.param("mis", 10, 3, 227, id="ktree-mis-10-seed3-227"),
+        pytest.param("ccolorable", 8, 4, 119, id="ktree-ccolorable-8-seed4-119"),
+        pytest.param("ccolorable", 10, 3, 207, id="ktree-ccolorable-10-seed3-207"),
+    ],
+)
+def test_memo_node_counts_pinned_on_ktrees(problem, n, seed, nodes):
+    # these games pass through Restrict rounds (rounds 4 and 6 at n = 8),
+    # so the counts move if cover dedup keeps a different set of covers
+    g2, st, _ = build_strategy("chordal:3", gen_ktree(n, 3, seed=seed))
+    if problem == "mis":
+        inst, solve = ptas.ISInstance.full(g2), ptas.solve_mis
+    else:
+        inst, solve = ptas.ColorInstance.full(g2, 2), ptas.solve_ccolorable
+    sol = solve(inst, st.fork(), 2, memo=True, max_nodes=nodes)
+    assert sol.feasible and ptas.verify_solution(problem, inst, sol)
+    with pytest.raises(ptas.BudgetExceededError):
+        solve(inst, st.fork(), 2, memo=True, max_nodes=nodes - 1)
+
+
+def _reference_dedup_covers(ell, r, lam):
+    """Cover dedup the slow way: build every residue that
+    _candidate_residues proposes and key it by the vertex sets of each
+    occupied interval trimmed by 0, r, 2r and 1."""
+    labels = sorted(set(lam.values()))
+    by_label = {}
+    for v, lab in lam.items():
+        by_label.setdefault(lab, []).append(v)
+    seen = set()
+    out = []
+    for residue in ptas._candidate_residues(ell, r, labels):
+        intervals = occupied_intervals(Cover(ell, r, residue), lam)
+        sig = []
+        for iv in intervals:
+            trims = []
+            for d in (0, r, 2 * r, 1):
+                lo, hi = margin(iv, d)
+                trims.append(
+                    frozenset(v for lab in labels if lo <= lab <= hi for v in by_label[lab])
+                )
+            sig.append(tuple(trims))
+        sig = tuple(sig)
+        if sig not in seen:
+            seen.add(sig)
+            out.append((residue, intervals))
+    return out
+
+
+def test_dedup_covers_matches_reference():
+    rng = random.Random(20261018)
+    sparse = dense = 0
+    for _ in range(2000):
+        r = rng.choice((0, 1, 2))
+        if rng.random() < 0.3:
+            # windows much longer than the labels' span
+            ell, span = rng.randint(60, 400), rng.randint(0, 12)
+        else:
+            ell, span = rng.randint(1, 16), rng.randint(0, 45)
+        lo = rng.randint(-40, 10)
+        labels = {lo, lo + span} | {rng.randint(lo, lo + span) for _ in range(rng.randint(0, 8))}
+        lam = {}
+        for lab in labels:
+            for _ in range(rng.randint(1, 3)):
+                lam[len(lam)] = lab
+        want = _reference_dedup_covers(ell, r, lam)
+        assert list(ptas._dedup_covers(ell, r, lam)) == want, (ell, r, lam)
+        if 0 < len(ptas._candidate_residues(ell, r, sorted(labels))) < ell - 2 * r:
+            sparse += 1
+        elif ell > 2 * r:
+            dense += 1
+    # both branches of _candidate_residues ran, many times each
+    assert sparse > 300 and dense > 1000, (sparse, dense)
 
 
 _DEEP_GAME = """

@@ -167,6 +167,12 @@ def test_parse_descriptor():
         # minorfree reorders the graph, so it cannot sit inside another strategy
         "cliquesum(minorfree:5,chordal:1)",
         "cliquesum(chordal:1,quotient(minorfree:5,3))",
+        # numbers no strategy can win with
+        "chordal:-1",
+        "quotient(chordal:2,0)",
+        "quotient(chordal:1,-1)",
+        "minorfree:1",
+        "minorfree:2",
     ]
     for text in bad:
         with pytest.raises(StrategyError, match=re.escape(repr(text))):
