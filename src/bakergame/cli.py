@@ -97,7 +97,7 @@ def cmd_play(args):
     graph = parse_graph(_read(args.graph))
     built = _load_strategy(args, graph)
     if isinstance(built, MinorWitness):
-        _emit_json(_witness_report(built))
+        _emit_json(_witness_report(built), args.output)
         return EXIT_MINOR_WITNESS
     graph2, strategy, perm = built
     rseq = parse_rseq(args.rseq)
@@ -186,7 +186,7 @@ def cmd_solve(args):
     inst = _instance_from_graph(args.problem, graph, args.colors)
     built = _load_strategy(args, graph)
     if isinstance(built, MinorWitness):
-        _emit_json(_witness_report(built))
+        _emit_json(_witness_report(built), args.output)
         return EXIT_MINOR_WITNESS
     graph2, strategy, perm = built
     inst2 = _map_instance(args.problem, inst, graph2, perm)
@@ -207,7 +207,13 @@ def cmd_solve(args):
             max_nodes=args.max_nodes,
         )
     except ptas.BudgetExceededError as exc:
-        _emit_json({"problem": args.problem, "error": str(exc)}, args.output)
+        report = {
+            "problem": args.problem,
+            "error": str(exc),
+            "nodes": exc.nodes,
+            "positions": exc.positions,
+        }
+        _emit_json(report, args.output)
         return EXIT_BUDGET
     elapsed = time.monotonic() - t0
     _require_valid(args.problem, inst2, sol)
@@ -275,7 +281,7 @@ def cmd_bench(args):
         graph = generators.gen_grid(*shape)
         built = build_strategy(args.strategy, graph)
         if isinstance(built, MinorWitness):
-            _emit_json(_witness_report(built))
+            _emit_json(_witness_report(built), args.output)
             return EXIT_MINOR_WITNESS
         graph2, strategy, _perm = built
         inst = ptas.ISInstance.full(graph2)

@@ -9,14 +9,21 @@ split along mid-margins (which tile the label line), and existential
 requirements are confined to core margins, far enough from interval
 ends that distinct slices cannot interfere.
 
+The strategy's moves depend only on the game position: its memory, the
+round and the live vertices.  The instance being solved plays no part,
+and it is the only thing the branches change.  So each search keeps a
+table of positions (_Search).  The first node that reaches a position
+plays the strategy there once and records the move and the child
+positions; every later node at that position reads the record.
+
 One walk serves all three problems.  It keeps the game tree on an
 explicit stack of generators, one per node, so deep games need no deep
-Python recursion.  What differs between the problems is a small
-_Problem record: the cover radius, the instance's memo key, the delete
-branches, how a cover slices the instance, how slice answers combine
-(a union, or for domset the plan_dp choice of which slice meets which
-hit-set) and the check on the combination.  Every node passes up
-(size, bag, provenance).
+Python recursion.  A node is an instance and a position id.  What
+differs between the problems is a small _Problem record: the cover
+radius, the instance's memo key, the delete branches, how a cover
+slices the instance, how slice answers combine (a union, or for domset
+the plan_dp choice of which slice meets which hit-set) and the check on
+the combination.  Every node passes up (size, bag, provenance).
 
 The accumulated loss is one (1 +/- eps_level) factor per Restrict, and
 the window schedule makes those products converge to 1 +/- 1/k.
@@ -52,7 +59,13 @@ class SolverInvariantError(PtasError):
 
 
 class BudgetExceededError(RuntimeError):
-    pass
+    """A solve ran out of its node or time budget.  nodes and positions
+    are the counts the search had reached."""
+
+    def __init__(self, message, nodes=None, positions=None):
+        super().__init__(message)
+        self.nodes = nodes
+        self.positions = positions
 
 
 @dataclass(frozen=True)
@@ -154,33 +167,104 @@ class Solution:
         return len(self.vertices)
 
 
+@dataclass(slots=True)
+class _Delete:
+    """A position where the strategy deletes lo, the smallest live
+    vertex: nbrs are its live neighbours, child the position after."""
+
+    lo: int
+    nbrs: frozenset
+    child: int | None
+
+
+@dataclass(slots=True)
+class _Restrict:
+    """A position where the strategy restricts: lo is the smallest live
+    vertex, then its state, the strategy after the move, the move, the
+    deduplicated covers of the layering and the child position of each
+    window used so far."""
+
+    lo: int
+    state: GameState
+    strat: object
+    action: object
+    covers: list
+    children: dict = field(default_factory=dict)
+
+
 class _Search:
-    """Per-solve budget and node count, plus the table numbering the
-    strategy memories that memo keys refer to."""
+    """Per-solve budget and node count, plus the table of game positions.
 
-    __slots__ = ("deadline", "max_nodes", "nodes", "ids")
+    A position is the strategy's memory (numbered by the StateIds table
+    ids), the round and the live vertices; two nodes share one exactly
+    when they differ at most in their instance.  positions[i] is the
+    (strategy, state) pair that first reached position i, until a node
+    there calls expand, which plays the strategy once and leaves a
+    _Delete or _Restrict record in its place.  The game's end has no
+    position: its id is None."""
 
-    def __init__(self, deadline=None, max_nodes=None):
+    __slots__ = ("deadline", "max_nodes", "radius", "nodes", "ids", "positions", "_index")
+
+    def __init__(self, radius, deadline=None, max_nodes=None):
         self.deadline = deadline
         self.max_nodes = max_nodes
+        self.radius = radius
         self.nodes = 0
         self.ids = StateIds()
+        self.positions = []
+        self._index = {}
 
-    def memo_key(self, strat, state, extra=None):
-        """Bytes naming the strategy's memory, the round and the live
-        vertices; extra (ints only, so that equal values pickle alike)
-        is folded in."""
+    def position(self, strat, state):
+        """Id of the position strat plays at state, numbered on first
+        sight; the table takes over strat."""
         g = state.graph
-        return pickle.dumps(
-            (strat.state_id(self.ids), state.round, g.vertices[0], g.vertex_bits(), extra)
-        )
+        if g.n == 0:
+            return None
+        key = (strat.state_id(self.ids), state.round, g.vertices[0], g.vertex_bits())
+        pid = self._index.get(key)
+        if pid is None:
+            pid = self._index[key] = len(self.positions)
+            self.positions.append((strat, state))
+        return pid
+
+    def expand(self, pid):
+        """The record of position pid, playing the strategy's move there
+        if no node has yet.  A Delete record keeps neither the state nor
+        the strategy, only what the delete branches need."""
+        rec = self.positions[pid]
+        if type(rec) is not tuple:
+            return rec
+        strat, state = rec
+        g = state.graph
+        lo = g.vertices[0]
+        action = strat.next_action(state)
+        if action.kind == DELETE:
+            ns = apply_delete(state)
+            strat.observe(action, None, ns)
+            rec = _Delete(lo, g.adj[lo], self.position(strat, ns))
+        else:
+            covers = list(_dedup_covers(state.rseq.head, self.radius, action.layering))
+            rec = _Restrict(lo, state, strat, action, covers)
+        self.positions[pid] = rec
+        return rec
+
+    def window_child(self, rec, window):
+        """Id of the position after the preserver answers the Restrict
+        record rec with window."""
+        children = rec.children
+        if window not in children:
+            ns = apply_restrict(rec.state, rec.action.layering, window)
+            fork = rec.strat.fork()
+            fork.observe(rec.action, window, ns)
+            children[window] = self.position(fork, ns)
+        return children[window]
 
     def tick(self):
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
-            raise BudgetExceededError("node budget exhausted")
+            raise BudgetExceededError("node budget exhausted", self.nodes, len(self.positions))
         if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceededError("time budget exhausted")
+            raise BudgetExceededError("time budget exhausted", self.nodes, len(self.positions))
 
 
 # Solvers pass their choices up the game tree as a bag: None, or a pair
@@ -291,15 +375,16 @@ class _Problem:
     objective's sense.  radius: r of the (ell, r)-covers a
     Restrict tries.  leaf(inst): the answer on the empty graph.
     instance_key(inst, lo): ints naming inst, bits taken relative to lo,
-    the smallest live vertex.  delete_branches(inst, g, h): (cell, child)
-    pairs for the smallest vertex of g, h being g without it; cell is
-    what the branch adds to the bag, None for nothing; a later branch
-    wins a tie.  slice(inst, g, lam, intervals, r): per interval of one
-    cover, the window its slice plays and (tag, child) pairs, or
-    INFEASIBLE when the cover cannot work.  combine(inst, tables): one
-    child answer per (window, {tag: answer}) table, to be united, or
-    INFEASIBLE.  check(inst, g, chosen): raise SolverInvariantError
-    unless the united answer is valid."""
+    the smallest live vertex.  delete_branches(inst, v, nbrs): (cell,
+    child) pairs for the deletion of v, the smallest live vertex, whose
+    live neighbours are the frozenset nbrs; cell is what the branch adds
+    to the bag, None for nothing; a later branch wins a tie.  slice(inst,
+    g, lam, intervals, r): per interval of one cover of the live graph
+    g, the window its slice plays and (tag, child) pairs, or INFEASIBLE
+    when the cover cannot work.  combine(inst, tables): one child answer
+    per (window, {tag: answer}) table, to be united, or INFEASIBLE.
+    check(inst, g, chosen): raise SolverInvariantError unless the united
+    answer is valid."""
 
     name: str
     maximize: bool
@@ -315,29 +400,23 @@ class _Problem:
         return a != b and (a > b) == self.maximize
 
 
-def _node(prob, inst, strat, state, memo, search):
+def _node(prob, inst, pid, memo, search):
     """One node of the game tree, as a generator: it yields (instance,
-    strategy, state) for each child and is sent the child's answer.
+    position id) for each child and is sent the child's answer.
     Answers are INFEASIBLE or (size, bag, provenance)."""
     search.tick()
-    g = state.graph
-    if g.n == 0:
+    if pid is None:
         return prob.leaf(inst)
+    rec = search.expand(pid)
     key = None
     if memo is not None:
-        key = search.memo_key(strat, state, prob.instance_key(inst, g.vertices[0]))
+        key = pickle.dumps((pid, prob.instance_key(inst, rec.lo)))
         if key in memo:
             return memo[key]
-    action = strat.next_action(state)
-    if action.kind == DELETE:
-        ns = apply_delete(state)
-        strat.observe(action, None, ns)
-        branches = prob.delete_branches(inst, g, ns.graph)
-        last = len(branches) - 1
+    if type(rec) is _Delete:
         out = INFEASIBLE
-        for i, (cell, sub) in enumerate(branches):
-            # a child moves its strategy, so only the last one gets strat
-            res = yield sub, strat if i == last else strat.fork(), ns
+        for cell, sub in prob.delete_branches(inst, rec.lo, rec.nbrs):
+            res = yield sub, rec.child
             if res is INFEASIBLE:
                 continue
             if cell is not None:
@@ -345,23 +424,21 @@ def _node(prob, inst, strat, state, memo, search):
             if out is INFEASIBLE or not prob.better(out[0], res[0]):
                 out = res
     else:
-        lam = action.layering
-        ell = state.rseq.head
+        state = rec.state
+        g = state.graph
+        lam = rec.action.layering
         best = INFEASIBLE
-        for residue, intervals in _dedup_covers(ell, prob.radius, lam):
+        for residue, intervals in rec.covers:
             plan = prob.slice(inst, g, lam, intervals, prob.radius)
             if plan is INFEASIBLE:
                 continue
             tables = []
             for window, subs in plan:
-                child = apply_restrict(state, lam, window)
                 table = {}
                 for tag, sub in subs:
                     if sub is INFEASIBLE:
                         continue
-                    fork = strat.fork()
-                    fork.observe(action, window, child)
-                    res = yield sub, fork, child
+                    res = yield sub, search.window_child(rec, window)
                     if res is not INFEASIBLE:
                         table[tag] = res
                 if not table:  # no slice of this window works: drop the cover
@@ -378,7 +455,7 @@ def _node(prob, inst, strat, state, memo, search):
         if best is not INFEASIBLE:
             residue, size, chosen, picked = best
             prob.check(inst, g, chosen)
-            prov = [{"round": state.round + 1, "ell": ell, "residue": residue}]
+            prov = [{"round": state.round + 1, "ell": state.rseq.head, "residue": residue}]
             for res in picked:
                 prov.extend(res[2])
             out = (size, (chosen, None), prov)
@@ -387,10 +464,11 @@ def _node(prob, inst, strat, state, memo, search):
     return out
 
 
-def _walk(prob, inst, strat, state, memo, search):
-    """Play the game tree below state on an explicit stack of _node
-    generators, so that deep games need no deep Python recursion."""
-    stack = [_node(prob, inst, strat, state, memo, search)]
+def _walk(prob, inst, pid, memo, search):
+    """Play the game tree below position pid on an explicit stack of
+    _node generators, so that deep games need no deep Python
+    recursion."""
+    stack = [_node(prob, inst, pid, memo, search)]
     res = None
     while stack:
         try:
@@ -421,7 +499,8 @@ def _union(inst, tables):
 
 
 # ---------------------------------------------------------------------------
-# dominating set: the walk's instance is a DomSetInstance
+# dominating set: the walk's instance is a pair (demand, hits) of the
+# demand set and the tuple of hit-sets
 
 
 def slice_domset(inst, lam, interval, r, assigned_hits):
@@ -442,53 +521,53 @@ def slice_domset(inst, lam, interval, r, assigned_hits):
 
 
 def _dom_leaf(inst):
-    return INFEASIBLE if inst.hits else _empty(inst)
+    return INFEASIBLE if inst[1] else _empty(inst)
 
 
 def _dom_key(inst, lo):
+    demand, hits = inst
     # equal hit-sets collapse, as they would in a frozenset
-    hits = sorted({_bits_from(lo, h) for h in inst.hits})
-    return _bits_from(lo, inst.demand), tuple(hits)
+    return _bits_from(lo, demand), tuple(sorted({_bits_from(lo, h) for h in hits}))
 
 
-def _dom_branches(inst, g, h):
-    """The smallest vertex v is chosen, or not: then a demanded v needs
-    a chosen neighbour, which becomes one more hit-set."""
-    v = g.vertices[0]
-    nbrs = g.adj[v]
-    hits_a = tuple(x for x in inst.hits if v not in x)
-    out = [(v, DomSetInstance(h, inst.demand - nbrs - {v}, hits_a))]
-    hits_b = [x - {v} for x in inst.hits]
-    if v in inst.demand:
+def _dom_branches(inst, v, nbrs):
+    """v is chosen, or not: then a demanded v needs a chosen
+    neighbour, which becomes one more hit-set."""
+    demand, hits = inst
+    out = [(v, (demand - nbrs - {v}, tuple(x for x in hits if v not in x)))]
+    hits_b = [x - {v} for x in hits]
+    if v in demand:
         hits_b.append(nbrs)
     if all(hits_b):
-        out.append((None, DomSetInstance(h, inst.demand - {v}, tuple(hits_b))))
+        out.append((None, (demand - {v}, tuple(hits_b))))
     return out
 
 
 def _dom_slices(inst, g, lam, intervals, r):
     """Every hit-set goes to one interval whose core it meets; each
     interval is tried with every subset of the hit-sets it can host."""
-    cores = [_preimage(lam, g, *margin(iv, 2 * r)) for iv in intervals] if inst.hits else []
-    avail = [[i for i, core in enumerate(cores) if h & core] for h in inst.hits]
+    whole = DomSetInstance(g, *inst)
+    cores = [_preimage(lam, g, *margin(iv, 2 * r)) for iv in intervals] if whole.hits else []
+    avail = [[i for i, core in enumerate(cores) if h & core] for h in whole.hits]
     if not all(avail):
         return INFEASIBLE
-    return [(iv, _dom_tables(inst, lam, iv, r, i, avail)) for i, iv in enumerate(intervals)]
+    return [(iv, _dom_tables(whole, lam, iv, r, i, avail)) for i, iv in enumerate(intervals)]
 
 
 def _dom_tables(inst, lam, iv, r, i, avail):
     """0/1 tuples over the hit-sets, j being 1 only if interval i can
-    host hit-set j, each with its slice."""
+    host hit-set j, each with its slice as a (demand, hits) pair."""
     for tup in product(*[(0, 1) if i in opts else (0,) for opts in avail]):
         assigned = [h for h, b in zip(inst.hits, tup) if b]
-        yield tup, slice_domset(inst, lam, iv, r, assigned)
+        sub = slice_domset(inst, lam, iv, r, assigned)
+        yield tup, sub if sub is INFEASIBLE else (sub.demand, sub.hits)
 
 
 def _dom_combine(inst, tables):
     """The cheapest plan that puts every hit-set in exactly one slice."""
     plan = plan_dp(
         [(iv, {tup: res[0] for tup, res in table.items()}) for iv, table in tables],
-        (1,) * len(inst.hits),
+        (1,) * len(inst[1]),
         "min",
     )
     if plan is INFEASIBLE:
@@ -498,7 +577,7 @@ def _dom_combine(inst, tables):
 
 
 def _dom_check(inst, g, chosen):
-    for x in inst.demand:
+    for x in inst[0]:
         if x not in chosen and not g.adj[x] & chosen:
             raise SolverInvariantError("combined slices fail to dominate vertex %d" % x)
 
@@ -522,13 +601,12 @@ def slice_mis(forbidden, lam, interval, r):
     return (forbidden | (keep & ~core)) & keep
 
 
-def _mis_branches(forbidden, g, h):
-    v = g.vertices[0]
+def _mis_branches(forbidden, v, nbrs):
     skip = (None, forbidden & ~(1 << v))
     if forbidden >> v & 1:
         return [skip]
     # every neighbour of the smallest vertex survives its deletion
-    return [(v, forbidden | _bits_from(0, g.adj[v])), skip]
+    return [(v, forbidden | _bits_from(0, nbrs)), skip]
 
 
 def _mis_slices(forbidden, g, lam, intervals, r):
@@ -565,14 +643,13 @@ def _col_key(lists, lo):
     return tuple(m >> lo for _, m in lists)
 
 
-def _col_branches(lists, g, h):
-    """The smallest vertex v is skipped or takes a colour a, which then
-    leaves its neighbours' lists.  Colours that occur on the same other
-    vertices are interchangeable, so only the smallest of them is
-    tried; smaller colours come later, so that they win ties."""
-    v = g.vertices[0]
+def _col_branches(lists, v, nbrs):
+    """v is skipped or takes a colour a, which then leaves its
+    neighbours' lists.  Colours that occur on the same other vertices
+    are interchangeable, so only the smallest of them is tried; smaller
+    colours come later, so that they win ties."""
     rest = tuple((a, m & ~(1 << v)) for a, m in lists)
-    nbrs = _bits_from(0, g.adj[v])
+    nbrs = _bits_from(0, nbrs)
     seen = set()
     coloured = []
     for (a, m), (_, occ) in zip(lists, rest):
@@ -615,13 +692,14 @@ _COLORABLE = _Problem(
 
 def _solve(prob, graph, inst, strategy, k, memo, deadline_seconds, max_nodes):
     dl = None if deadline_seconds is None else time.monotonic() + deadline_seconds
-    state = GameState(graph, ScheduleSeq(prob.name, k))
-    memo = {} if memo else None
-    return _walk(prob, inst, strategy.fork(), state, memo, _Search(dl, max_nodes))
+    search = _Search(prob.radius, dl, max_nodes)
+    pid = search.position(strategy.fork(), GameState(graph, ScheduleSeq(prob.name, k)))
+    return _walk(prob, inst, pid, {} if memo else None, search)
 
 
 def solve_domset(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
-    res = _solve(_DOMSET, inst.graph, inst, strategy, k, memo, deadline_seconds, max_nodes)
+    pair = (inst.demand, inst.hits)
+    res = _solve(_DOMSET, inst.graph, pair, strategy, k, memo, deadline_seconds, max_nodes)
     if res is INFEASIBLE:
         return Solution("domset", False)
     return Solution("domset", True, _bag_set(res[1]), None, res[2])

@@ -60,6 +60,27 @@ def test_play_minor_witness_exit(tmp_path, capsys):
     assert json.loads(out)["outcome"] == "minor_witness"
 
 
+def test_minor_witness_honours_output(tmp_path, capsys):
+    k5 = tmp_path / "k5.gr"
+    lines = ["p graph 5 10"] + [
+        "e %d %d" % (u, v) for u in range(5) for v in range(u + 1, 5)
+    ]
+    k5.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "w.json"
+    for argv in (
+        ["solve", "--problem", "mis", "--graph", str(k5), "--strategy", "minorfree:5",
+         "--k", "2"],
+        ["play", "--graph", str(k5), "--strategy", "minorfree:5", "--rseq", "const:1"],
+        # a 3x3 grid has a triangle minor
+        ["bench", "--sizes", "9", "--strategy", "minorfree:3"],
+    ):
+        code, stdout = run(capsys, argv + ["-o", str(out)])
+        assert code == 3, argv[0]
+        assert stdout == ""
+        assert json.loads(out.read_text())["outcome"] == "minor_witness"
+        out.unlink()
+
+
 def test_play_distortion_json(tmp_path, capsys):
     g = tmp_path / "g.gr"
     e = tmp_path / "g.emb"
@@ -146,12 +167,17 @@ def test_solve_infeasible_exit(tmp_path, capsys):
 def test_solve_budget_exit(tmp_path, capsys):
     g = tmp_path / "g.gr"
     run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(g)])
-    code, _ = run(
+    code, out = run(
         capsys,
         ["solve", "--problem", "mis", "--graph", str(g),
          "--strategy", "minorfree:5", "--k", "2", "--max-nodes", "5"],
     )
     assert code == 4
+    # the counters reached: the sixth node broke the budget, and the
+    # first six nodes are one path of six distinct positions
+    report = json.loads(out)
+    assert report["error"] == "node budget exhausted"
+    assert (report["nodes"], report["positions"]) == (6, 6)
 
 
 def test_solve_invalid_solution_exit(tmp_path, capsys, monkeypatch):

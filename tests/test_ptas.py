@@ -10,7 +10,7 @@ from bakergame import ptas
 from bakergame.covers import Cover, margin, occupied_intervals
 from bakergame.generators import gen_grid, gen_ktree, gen_random_instance
 from bakergame.graph import OrderedGraph
-from bakergame.strategies import build_strategy
+from bakergame.strategies import QuotientStrategy, build_strategy
 
 
 def path(n):
@@ -139,11 +139,25 @@ def test_solver_domset_infeasible():
 
 
 def test_memo_on_off_agree():
-    g2, st, _ = build_strategy("minorfree:5", gen_grid(3, 3))
-    inst = ptas.ISInstance.full(g2)
-    a = ptas.solve_mis(inst, st.fork(), 2, memo=False)
-    b = ptas.solve_mis(inst, st.fork(), 2, memo=True)
-    assert a.size == b.size and a.vertices == b.vertices
+    # memo off plays through the same position table, so it must find
+    # the same answer, colouring and provenance
+    g2, st, _ = build_strategy("minorfree:5", gen_grid(4, 4))
+    g3, st3, _ = build_strategy("chordal:3", gen_ktree(10, 3, seed=3))
+    cases = [
+        (ptas.solve_mis, ptas.ISInstance.full(g2), st),
+        (ptas.solve_domset, ptas.DomSetInstance.full(g2), st),
+        (ptas.solve_domset, gen_random_instance("domset", g2, seed=0), st),
+        (ptas.solve_ccolorable, ptas.ColorInstance.full(g2, 2), st),
+        (ptas.solve_mis, ptas.ISInstance.full(g3), st3),
+        (ptas.solve_domset, ptas.DomSetInstance.full(g3), st3),
+        (ptas.solve_ccolorable, ptas.ColorInstance.full(g3, 2), st3),
+    ]
+    for solve, inst, s in cases:
+        a = solve(inst, s.fork(), 2, memo=False)
+        b = solve(inst, s.fork(), 2, memo=True)
+        assert a.feasible and b.feasible
+        assert (a.size, a.vertices, a.colors) == (b.size, b.vertices, b.colors)
+        assert a.provenance == b.provenance
 
 
 def test_node_budget_raises():
@@ -209,6 +223,38 @@ def test_memo_node_counts_pinned(problem, rows, cols, seed, nodes):
     assert sol.feasible and ptas.verify_solution(problem, inst, sol)
     with pytest.raises(ptas.BudgetExceededError):
         solve(inst, st.fork(), 2, memo=True, max_nodes=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "cols, nodes, positions",
+    [
+        pytest.param(5, 1971, 235, id="mis-5-5"),
+        pytest.param(20, 170096, 2436, id="mis-5-20"),
+    ],
+)
+def test_strategy_moves_once_per_position(monkeypatch, cols, nodes, positions):
+    # The strategy's move depends on the position alone (its memory, the
+    # round and the live vertices), so a solve plays it once per
+    # position, however many nodes share one.  positions bounds the
+    # distinct positions these games reach (the table numbers 226 and
+    # 2,412).
+    calls = [0]
+    move = QuotientStrategy.next_action
+
+    def counted(self, state):
+        calls[0] += 1
+        return move(self, state)
+
+    monkeypatch.setattr(QuotientStrategy, "next_action", counted)
+    g2, st, _ = build_strategy("minorfree:5", gen_grid(5, cols))
+    inst = ptas.ISInstance.full(g2)
+    ptas.solve_mis(inst, st.fork(), 2, memo=True, max_nodes=nodes)
+    assert 0 < calls[0] <= positions
+    calls[0] = 0
+    with pytest.raises(ptas.BudgetExceededError) as exc:
+        ptas.solve_mis(inst, st.fork(), 2, memo=True, max_nodes=nodes - 1)
+    assert exc.value.nodes == nodes
+    assert calls[0] <= exc.value.positions <= positions
 
 
 @pytest.mark.parametrize(
