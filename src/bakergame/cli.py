@@ -290,9 +290,16 @@ def cmd_bench(args):
             sol = ptas.solve_mis(
                 inst, strategy, args.k, memo=True, deadline_seconds=args.per_size_budget
             )
-        except ptas.BudgetExceededError:
+        except ptas.BudgetExceededError as exc:
             failed = n
-            rows.append({"n": n, "status": "budget_exceeded"})
+            rows.append(
+                {
+                    "n": n,
+                    "status": "budget_exceeded",
+                    "nodes": exc.nodes,
+                    "positions": exc.positions,
+                }
+            )
             break
         elapsed = time.monotonic() - t0
         _require_valid("mis", inst, sol)

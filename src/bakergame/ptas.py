@@ -170,10 +170,11 @@ class Solution:
 @dataclass(slots=True)
 class _Delete:
     """A position where the strategy deletes lo, the smallest live
-    vertex: nbrs are its live neighbours, child the position after."""
+    vertex: nbrs is the bitmask of its live neighbours, bit w for
+    neighbour w, and child the position after."""
 
     lo: int
-    nbrs: frozenset
+    nbrs: int
     child: int | None
 
 
@@ -241,7 +242,7 @@ class _Search:
         if action.kind == DELETE:
             ns = apply_delete(state)
             strat.observe(action, None, ns)
-            rec = _Delete(lo, g.adj[lo], self.position(strat, ns))
+            rec = _Delete(lo, _bits_from(0, g.adj[lo]), self.position(strat, ns))
         else:
             covers = list(_dedup_covers(state.rseq.head, self.radius, action.layering))
             rec = _Restrict(lo, state, strat, action, covers)
@@ -295,65 +296,41 @@ def _bits_from(lo, vs):
 # ---------------------------------------------------------------------------
 # cover enumeration shared by the solvers
 
-_SENSITIVE_OFFSETS = (0, 1, 2)
-
 
 def _candidate_residues(ell, r, labels):
-    """Residues whose covers can slice the occupied label range in
-    distinct ways.  For windows much longer than the range, all but a
-    handful of residues see every label deep inside a single interval,
-    so only boundary-crossing alignments (plus one representative of
-    the generic alignment, which the offset 2r produces) are listed."""
-    lo, hi = min(labels), max(labels)
-    span = hi - lo
+    """0 and the "move" residues of the (ell, r)-covers of the labels,
+    ascending; none when ell <= 2r, which admits no cover.
+
+    Going from residue rho - 1 to rho shifts every interval right by
+    one, so an interval trimmed by d = 0, r, 2r or 1 gains or loses a
+    label lab only if rho is lab - d + 1 or lab - ell + d + 1 modulo the
+    step.  At any other residue the slicing is that of rho - 1.  So the
+    smallest residue of each distinct slicing is 0 or a move, and the
+    list holds every residue a scan of all ell - 2r covers would keep."""
     step = ell - 2 * r
-    if step <= 6 * (span + 4 * r + 4):
-        return list(range(step))
-    offs = set(_SENSITIVE_OFFSETS)
-    offs.update((r, r + 1, 2 * r, 2 * r + 1))
-    offs.update((ell - 1, ell - 2, ell - 3, ell - 1 - r, ell - 1 - 2 * r, ell - 2 - 2 * r))
-    cands = set()
-    for off in offs:
-        for pos in range(lo - 1, hi + 2):
-            s = pos - off
-            if lo - ell + 1 <= s <= hi:
-                cands.add(s % step)
-    return sorted(cands)
+    if step <= 0:
+        return []
+    trims = (0, r, 2 * r, 1)
+    moves = {(lab - t) % step for lab in labels for d in trims for t in (d - 1, ell - d - 1)}
+    return sorted(moves | {0})
 
 
 def _dedup_covers(ell, r, lam):
     """Yield (residue, intervals) with distinct slicing signatures,
-    smallest residue first.
+    smallest residue first: exactly what scanning every residue would
+    yield, since each signature first shows at a candidate residue.
 
     A signature holds, per occupied interval trimmed by d = 0, r, 2r and
     1 (the last matters when r = 0, for interior-keeping slices), the
     range of sorted labels inside; labels own disjoint, non-empty vertex
-    sets, so equal ranges mean equal slices.  Going from residue rho - 1
-    to rho shifts every interval right by one, so a trimmed interval
-    gains or loses a label lab only if rho is lab - d + 1 or
-    lab - ell + d + 1 modulo the step.  A candidate that directly follows
-    the previous one and is none of these moves repeats a signature
-    already seen, and is skipped without building its cover."""
+    sets, so equal ranges mean equal slices."""
     labels = sorted(set(lam.values()))
-    trims = (0, r, 2 * r, 1)
-    step = ell - 2 * r
-    # ell <= 2r admits no cover, and _candidate_residues proposes none
-    moves = (
-        {(lab - t) % step for lab in labels for d in trims for t in (d - 1, ell - d - 1)}
-        if step > 0
-        else ()
-    )
     seen = set()
-    prev = None
     for residue in _candidate_residues(ell, r, labels):
-        repeat = residue - 1 == prev and residue not in moves
-        prev = residue
-        if repeat:
-            continue
         intervals = occupied_intervals(Cover(ell, r, residue), lam)
         sig = []
         for lo, hi in intervals:
-            for d in trims:
+            for d in (0, r, 2 * r, 1):
                 i, j = bisect_left(labels, lo + d), bisect_right(labels, hi - d)
                 sig.append((i, j) if i < j else None)
         sig = tuple(sig)
@@ -377,14 +354,14 @@ class _Problem:
     instance_key(inst, lo): ints naming inst, bits taken relative to lo,
     the smallest live vertex.  delete_branches(inst, v, nbrs): (cell,
     child) pairs for the deletion of v, the smallest live vertex, whose
-    live neighbours are the frozenset nbrs; cell is what the branch adds
-    to the bag, None for nothing; a later branch wins a tie.  slice(inst,
-    g, lam, intervals, r): per interval of one cover of the live graph
-    g, the window its slice plays and (tag, child) pairs, or INFEASIBLE
-    when the cover cannot work.  combine(inst, tables): one child answer
-    per (window, {tag: answer}) table, to be united, or INFEASIBLE.
-    check(inst, g, chosen): raise SolverInvariantError unless the united
-    answer is valid."""
+    live neighbours are the bitmask nbrs, bit w for neighbour w; cell is
+    what the branch adds to the bag, None for nothing; a later branch
+    wins a tie.  slice(inst, g, lam, intervals, r): per interval of one
+    cover of the live graph g, the window its slice plays and (tag,
+    child) pairs, or INFEASIBLE when the cover cannot work.
+    combine(inst, tables): one child answer per (window, {tag: answer})
+    table, to be united, or INFEASIBLE.  check(inst, g, chosen): raise
+    SolverInvariantError unless the united answer is valid."""
 
     name: str
     maximize: bool
@@ -490,34 +467,25 @@ def _label_bits(lam, lo, hi):
     return _bits_from(0, [v for v, lab in lam.items() if lo <= lab <= hi])
 
 
-def _preimage(lam, graph, lo, hi):
-    return frozenset(v for v in graph.vertices if lo <= lam[v] <= hi)
-
-
 def _union(inst, tables):
     return [table[None] for _, table in tables]
 
 
 # ---------------------------------------------------------------------------
 # dominating set: the walk's instance is a pair (demand, hits) of the
-# demand set and the tuple of hit-sets
+# demand bitmask and the tuple of hit-set bitmasks, bit v for vertex v
 
 
-def slice_domset(inst, lam, interval, r, assigned_hits):
-    """Restrict a dominating-set instance to one cover interval:
-    demand shrinks to the mid-margin, and each hit-set assigned to this
-    interval must be met inside the core margin."""
-    g = inst.graph
-    keep = _preimage(lam, g, *interval)
-    mid = _preimage(lam, g, *margin(interval, r))
-    core = _preimage(lam, g, *margin(interval, 2 * r))
-    hits = []
-    for h in assigned_hits:
-        h2 = frozenset(h) & core
-        if not h2:
-            return INFEASIBLE
-        hits.append(h2)
-    return DomSetInstance(g.induced(keep), frozenset(inst.demand) & mid, tuple(hits))
+def slice_domset(demand, lam, interval, r, assigned_hits):
+    """Restrict a dominating-set instance, given as demand bits, to one
+    cover interval: demand shrinks to the mid-margin, and each hit-set
+    (bits) assigned to this interval must be met inside the core
+    margin.  The slice's (demand, hits) bit pair, or INFEASIBLE."""
+    core = _label_bits(lam, *margin(interval, 2 * r))
+    hits = tuple(h & core for h in assigned_hits)
+    if not all(hits):
+        return INFEASIBLE
+    return demand & _label_bits(lam, *margin(interval, r)), hits
 
 
 def _dom_leaf(inst):
@@ -527,40 +495,40 @@ def _dom_leaf(inst):
 def _dom_key(inst, lo):
     demand, hits = inst
     # equal hit-sets collapse, as they would in a frozenset
-    return _bits_from(lo, demand), tuple(sorted({_bits_from(lo, h) for h in hits}))
+    return demand >> lo, tuple(sorted({h >> lo for h in hits}))
 
 
 def _dom_branches(inst, v, nbrs):
     """v is chosen, or not: then a demanded v needs a chosen
     neighbour, which becomes one more hit-set."""
     demand, hits = inst
-    out = [(v, (demand - nbrs - {v}, tuple(x for x in hits if v not in x)))]
-    hits_b = [x - {v} for x in hits]
-    if v in demand:
+    bit = 1 << v
+    out = [(v, (demand & ~(nbrs | bit), tuple(x for x in hits if not x & bit)))]
+    hits_b = [x & ~bit for x in hits]
+    if demand & bit:
         hits_b.append(nbrs)
     if all(hits_b):
-        out.append((None, (demand - {v}, tuple(hits_b))))
+        out.append((None, (demand & ~bit, tuple(hits_b))))
     return out
 
 
 def _dom_slices(inst, g, lam, intervals, r):
     """Every hit-set goes to one interval whose core it meets; each
     interval is tried with every subset of the hit-sets it can host."""
-    whole = DomSetInstance(g, *inst)
-    cores = [_preimage(lam, g, *margin(iv, 2 * r)) for iv in intervals] if whole.hits else []
-    avail = [[i for i, core in enumerate(cores) if h & core] for h in whole.hits]
+    hits = inst[1]
+    cores = [_label_bits(lam, *margin(iv, 2 * r)) for iv in intervals] if hits else []
+    avail = [[i for i, core in enumerate(cores) if h & core] for h in hits]
     if not all(avail):
         return INFEASIBLE
-    return [(iv, _dom_tables(whole, lam, iv, r, i, avail)) for i, iv in enumerate(intervals)]
+    return [(iv, _dom_tables(inst, lam, iv, r, i, avail)) for i, iv in enumerate(intervals)]
 
 
 def _dom_tables(inst, lam, iv, r, i, avail):
     """0/1 tuples over the hit-sets, j being 1 only if interval i can
-    host hit-set j, each with its slice as a (demand, hits) pair."""
+    host hit-set j, each with its slice's (demand, hits) pair."""
+    demand, hits = inst
     for tup in product(*[(0, 1) if i in opts else (0,) for opts in avail]):
-        assigned = [h for h, b in zip(inst.hits, tup) if b]
-        sub = slice_domset(inst, lam, iv, r, assigned)
-        yield tup, sub if sub is INFEASIBLE else (sub.demand, sub.hits)
+        yield tup, slice_domset(demand, lam, iv, r, [h for h, b in zip(hits, tup) if b])
 
 
 def _dom_combine(inst, tables):
@@ -577,8 +545,8 @@ def _dom_combine(inst, tables):
 
 
 def _dom_check(inst, g, chosen):
-    for x in inst[0]:
-        if x not in chosen and not g.adj[x] & chosen:
+    for x in g.vertices:
+        if inst[0] >> x & 1 and x not in chosen and not g.adj[x] & chosen:
             raise SolverInvariantError("combined slices fail to dominate vertex %d" % x)
 
 
@@ -606,7 +574,7 @@ def _mis_branches(forbidden, v, nbrs):
     if forbidden >> v & 1:
         return [skip]
     # every neighbour of the smallest vertex survives its deletion
-    return [(v, forbidden | _bits_from(0, nbrs)), skip]
+    return [(v, forbidden | nbrs), skip]
 
 
 def _mis_slices(forbidden, g, lam, intervals, r):
@@ -649,7 +617,6 @@ def _col_branches(lists, v, nbrs):
     are interchangeable, so only the smallest of them is tried; smaller
     colours come later, so that they win ties."""
     rest = tuple((a, m & ~(1 << v)) for a, m in lists)
-    nbrs = _bits_from(0, nbrs)
     seen = set()
     coloured = []
     for (a, m), (_, occ) in zip(lists, rest):
@@ -698,7 +665,7 @@ def _solve(prob, graph, inst, strategy, k, memo, deadline_seconds, max_nodes):
 
 
 def solve_domset(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
-    pair = (inst.demand, inst.hits)
+    pair = (_bits_from(0, inst.demand), tuple(_bits_from(0, h) for h in inst.hits))
     res = _solve(_DOMSET, inst.graph, pair, strategy, k, memo, deadline_seconds, max_nodes)
     if res is INFEASIBLE:
         return Solution("domset", False)

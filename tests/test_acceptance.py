@@ -381,6 +381,8 @@ def test_criterion_7_hit_distribution():
         if ell <= 2 * r:
             continue
         bad = 0
+        demand = sum(1 << v for v in inst.demand)
+        hit_bits = [sum(1 << v for v in h) for h in hits]
         for cov in all_covers(ell, r):
             ivs = occupied_intervals(cov, lam)
             # the sliced subproblems must together dominate everything:
@@ -393,11 +395,17 @@ def test_criterion_7_hit_distribution():
                 feasible = True
                 for i, iv in enumerate(ivs):
                     sub = slice_domset(
-                        inst, lam, iv, r, [hits[j] for j in range(m) if assign[j] == i]
+                        demand, lam, iv, r, [hit_bits[j] for j in range(m) if assign[j] == i]
                     )
                     if sub is INFEASIBLE:
                         feasible = False
                         break
+                    keep = [v for v in g.vertices if iv[0] <= lam[v] <= iv[1]]
+                    sub = DomSetInstance(
+                        g.induced(keep),
+                        frozenset(v for v in keep if sub[0] >> v & 1),
+                        tuple(frozenset(v for v in keep if h >> v & 1) for h in sub[1]),
+                    )
                     res = oracle_domset(sub)
                     if res is INFEASIBLE:
                         feasible = False

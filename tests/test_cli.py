@@ -233,6 +233,18 @@ def test_bench_rows(capsys):
     assert code == 1 and out == ""
 
 
+def test_bench_budget_row_has_counters(capsys):
+    # a size that runs out of time reports the counters it reached, as
+    # solve's exit-4 report does
+    code, out = run(
+        capsys, ["bench", "--sizes", "25,100", "--rows", "5", "--per-size-budget", "0"]
+    )
+    assert code == 4
+    row = json.loads(out)["rows"][-1]
+    assert row["status"] == "budget_exceeded"
+    assert row["nodes"] >= 1 and row["positions"] >= 1
+
+
 def _fit_rows(law):
     return [{"n": n, "seconds": s} for n, s in law]
 

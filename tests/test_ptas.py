@@ -281,16 +281,16 @@ def test_memo_node_counts_pinned_on_ktrees(problem, n, seed, nodes):
 
 
 def _reference_dedup_covers(ell, r, lam):
-    """Cover dedup the slow way: build every residue that
-    _candidate_residues proposes and key it by the vertex sets of each
-    occupied interval trimmed by 0, r, 2r and 1."""
+    """Cover dedup the slow way: build the cover at every residue and
+    key it by the vertex sets of each occupied interval trimmed by 0, r,
+    2r and 1."""
     labels = sorted(set(lam.values()))
     by_label = {}
     for v, lab in lam.items():
         by_label.setdefault(lab, []).append(v)
     seen = set()
     out = []
-    for residue in ptas._candidate_residues(ell, r, labels):
+    for residue in range(ell - 2 * r):
         intervals = occupied_intervals(Cover(ell, r, residue), lam)
         sig = []
         for iv in intervals:
@@ -310,7 +310,7 @@ def _reference_dedup_covers(ell, r, lam):
 
 def test_dedup_covers_matches_reference():
     rng = random.Random(20261018)
-    sparse = dense = 0
+    long = short = 0
     for _ in range(2000):
         r = rng.choice((0, 1, 2))
         if rng.random() < 0.3:
@@ -326,12 +326,12 @@ def test_dedup_covers_matches_reference():
                 lam[len(lam)] = lab
         want = _reference_dedup_covers(ell, r, lam)
         assert list(ptas._dedup_covers(ell, r, lam)) == want, (ell, r, lam)
-        if 0 < len(ptas._candidate_residues(ell, r, sorted(labels))) < ell - 2 * r:
-            sparse += 1
-        elif ell > 2 * r:
-            dense += 1
-    # both branches of _candidate_residues ran, many times each
-    assert sparse > 300 and dense > 1000, (sparse, dense)
+        if ell - 2 * r > 6 * (span + 4 * r + 4):
+            long += 1
+        else:
+            short += 1
+    # many windows much longer than the labels' span, and many others
+    assert long > 300 and short > 1000, (long, short)
 
 
 _DEEP_GAME = """

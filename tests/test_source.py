@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 import pathlib
 
 import bakergame
+from bakergame import covers, game, graph, ptas, strategies
 
 
 def test_no_bare_assert_in_library():
@@ -37,3 +39,25 @@ def test_one_descriptor_grammar():
 
     visit(ast.parse(path.read_text(), str(path)), ())
     assert found == []
+
+
+def test_perfbench_tracer_round_trips():
+    # the benchmark's tracer rebinds library names from outside, so a
+    # name it pins that the library drops must fail here too
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = (bakergame, covers, game, graph, ptas, strategies)
+    owners = list(modules) + [v for m in modules for v in vars(m).values() if isinstance(v, type)]
+    before = [dict(vars(owner)) for owner in owners]
+    names = ("_candidate_residues", "_dedup_covers", "slice_domset", "pickle")
+    pinned = {name: getattr(ptas, name) for name in names}
+    t = tracer.Tracer()
+    try:
+        t.install(bakergame)
+        assert [name for name, fn in pinned.items() if getattr(ptas, name) is fn] == []
+    finally:
+        t.uninstall()
+    for owner, saved in zip(owners, before):
+        assert {k for k, v in saved.items() if vars(owner).get(k) is not v} == set(), owner
