@@ -281,18 +281,22 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
     return t
 
 
-def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET):
+def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET, stats=None):
     """Worst case number of rounds over all canonical preserver replies.
 
-    Returns cap + 1 when some line of play exceeds cap rounds.
+    Returns cap + 1 when some line of play exceeds cap rounds.  When
+    stats is a dict it receives "states", the number of positions
+    memoised, and "hits", the memo lookups that returned a cached value.
     """
     memo = {}
     ids = StateIds()
+    hits = 0
 
     def key_of(strat, st):
         return (st.graph.vertices, strat.state_id(ids), st.rseq.key())
 
     def go(strat, st, remaining):
+        nonlocal hits
         if st.finished:
             return 0
         if remaining <= 0:
@@ -302,6 +306,7 @@ def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET):
             cached_rem, cached_val = memo[k]
             # cached value is exact if it was computed with enough headroom
             if cached_val <= cached_rem or cached_rem >= remaining:
+                hits += 1
                 return cached_val
         action = strat.next_action(st)
         if action.kind == DELETE:
@@ -323,4 +328,7 @@ def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET):
         return val
 
     val = go(strategy.fork(), state, cap)
+    if stats is not None:
+        stats["states"] = len(memo)
+        stats["hits"] = hits
     return min(val, cap + 1)

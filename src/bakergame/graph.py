@@ -19,7 +19,9 @@ class NotALayeringError(GraphError):
 
 
 class NotGeodesicError(GraphError):
-    """Raised with a violating vertex pair attached."""
+    """Raised with a violating vertex pair attached: pair = (x, y) with
+    d(x, y) < |lam(x) - lam(y)|, not necessarily the first such pair in
+    vertex order."""
 
     def __init__(self, msg, pair=None):
         super().__init__(msg)
@@ -274,25 +276,77 @@ def spread_componentwise_layering(graph, r):
     return lam
 
 
+def _pull_down(graph, part, lam):
+    """One bucketed BFS from every vertex of part at once.
+
+    Returns (best, src): best[v] = max over x in part of lam[x] - d(x, v)
+    for every v that part reaches in graph, and src[v] a vertex x of
+    part attaining it.  Sources start in (-lam, vertex) order, each x
+    when the level falls to lam[x]; a vertex keeps the first, highest
+    level that reaches it.  An empty frontier jumps the level to the
+    next source's label.  O(n + m) plus a sort of part.
+    """
+    unknown = part - graph.vertex_set
+    if unknown:
+        raise GraphError("unknown source vertex %d" % min(unknown))
+    sources = sorted(part, key=lambda x: (-lam[x], x))
+    adj = graph.adj
+    best = {}
+    src = {}
+    frontier = []
+    level = 0
+    i = 0
+    while frontier or i < len(sources):
+        if not frontier:
+            level = lam[sources[i]]
+        while i < len(sources) and lam[sources[i]] == level:
+            x = sources[i]
+            i += 1
+            if x not in best:
+                best[x] = level
+                src[x] = x
+                frontier.append(x)
+        level -= 1
+        nxt = []
+        for u in frontier:
+            s = src[u]
+            for w in adj[u]:
+                if w not in best:
+                    best[w] = level
+                    src[w] = s
+                    nxt.append(w)
+        frontier = nxt
+    return best, src
+
+
+def _geodesic_sweep(graph, part, lam):
+    """Check lam on graph[part], pull it down; return (best, witness)."""
+    require_layering(graph.induced(part), {v: lam[v] for v in part}, "partial layering")
+    best, src = _pull_down(graph, part, lam)
+    # best[y] >= lam[y] always; it is larger exactly when some x has
+    # d(x, y) < lam[x] - lam[y], and src[y] is such an x
+    low = [y for y in part if best[y] != lam[y]]
+    if not low:
+        return best, None
+    y = min(low)
+    return best, (src[y], y)
+
+
 def is_geodesic(graph, part, lam, return_witness=False):
     """Check d_G(x, y) >= |lam(x) - lam(y)| for all x, y in part.
 
     lam must be a valid layering of graph[part]; unreachable pairs are
-    unconstrained.
+    unconstrained.  One sweep (_pull_down) computes best[v] = max over x
+    in part of lam[x] - d(x, v).  Every violating pair has a lower end y
+    with best[y] > lam[y], and best[y] > lam[y] means some x violates
+    with y, so the part is geodesic exactly when best agrees with lam on
+    part.  The witness is (src[y], y) for the smallest such y: always a
+    violating pair, not necessarily the first in vertex order.
     """
-    part = frozenset(part)
-    require_layering(graph.induced(part), {v: lam[v] for v in part}, "partial layering")
-    for x in sorted(part):
-        dist = graph.bfs_distances(x)
-        for y in sorted(part):
-            d = dist.get(y)
-            if d is not None and d < abs(lam[x] - lam[y]):
-                if return_witness:
-                    return False, (x, y)
-                return False
+    _, pair = _geodesic_sweep(graph, frozenset(part), lam)
     if return_witness:
-        return True, None
-    return True
+        return pair is None, pair
+    return pair is None
 
 
 def extend_geodesic_layering(graph, part, lam):
@@ -300,23 +354,17 @@ def extend_geodesic_layering(graph, part, lam):
 
     Each vertex gets max over x in part of lam[x] - d(x, v); vertices
     unreachable from part get label 0.  The result is a valid layering
-    of the whole graph agreeing with lam on part.
+    of the whole graph agreeing with lam on part.  The one sweep that
+    checks the part (see is_geodesic) computes these maxima too.
     """
     part = frozenset(part)
-    ok, pair = is_geodesic(graph, part, lam, return_witness=True)
-    if not ok:
+    best, pair = _geodesic_sweep(graph, part, lam)
+    if pair is not None:
         x, y = pair
         raise NotGeodesicError(
             "labels %d,%d of %d,%d exceed their distance" % (lam[x], lam[y], x, y),
             pair=pair,
         )
-    best = {}
-    for x in sorted(part):
-        lx = lam[x]
-        for v, d in graph.bfs_distances(x).items():
-            cand = lx - d
-            if v not in best or cand > best[v]:
-                best[v] = cand
     ext = {v: best.get(v, 0) for v in graph.vertices}
     require_layering(graph, ext, "extended layering")
     for v in part:

@@ -1,3 +1,4 @@
+import networkx as nx
 import pytest
 
 from bakergame.game import (
@@ -15,6 +16,7 @@ from bakergame.game import (
     parse_preserver,
     play,
 )
+from bakergame.generators import gen_ktree
 from bakergame.graph import OrderedGraph
 from bakergame.sequences import ConstSeq
 from bakergame.strategies import EdgelessStrategy, build_strategy
@@ -117,3 +119,20 @@ def test_minimax_saturates_at_cap():
     g = path(5)
     _, strat, _ = build_strategy("chordal:1", g)
     assert minimax_rounds(strat.fork(), GameState(g, ConstSeq(1)), cap=1) == 2
+
+
+def test_minimax_stats_count_states_and_hits():
+    atlas = nx.graph_atlas(50)  # 5 vertices, 8 edges, no K5 minor
+    cases = [
+        build_strategy("minorfree:5", OrderedGraph(range(5), atlas.edges())) + (1,),
+        build_strategy("chordal:2", gen_ktree(20, 2, seed=0)) + (2,),
+    ]
+    seen = []
+    for g, strat, _, c in cases:
+        stats = {}
+        plain = minimax_rounds(strat.fork(), GameState(g, ConstSeq(c)))
+        assert minimax_rounds(strat.fork(), GameState(g, ConstSeq(c)), stats=stats) == plain
+        assert stats["states"] >= 1 and stats["hits"] >= 0
+        seen.append(stats)
+    # [DERIVED] the 2-tree reaches some position twice under c=2
+    assert seen[1]["hits"] >= 1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,8 @@ from bakergame.graph import (
     spread_componentwise_layering,
     validate_embedding,
 )
+from bakergame.generators import gen_grid
+from bakergame.strategies import chordal_geodesic_partition
 
 
 def path(n):
@@ -117,6 +121,80 @@ def test_bfs_restriction_extends_geodesically(n, data):
     assert is_valid_layering(g, full)
     for v in subset:
         assert full[v] == partial[v]
+
+
+def _pairwise_geodesic(g, edges, part, lam):
+    """Reference: one BFS per part vertex.  Returns None when lam is not a
+    layering of g[part], else (violates, extension or None)."""
+    if any(abs(lam[u] - lam[v]) > 1 for u, v in edges if u in lam and v in lam):
+        return None
+    dist = {x: g.bfs_distances(x) for x in part}
+
+    def violates(x, y):
+        d = dist[x].get(y)
+        return d is not None and d < abs(lam[x] - lam[y])
+
+    if any(violates(x, y) for x in part for y in part):
+        return violates, None
+    ext = {
+        v: max((lam[x] - dist[x][v] for x in part if v in dist[x]), default=0)
+        for v in g.vertices
+    }
+    return violates, ext
+
+
+def test_geodesic_sweep_matches_pairwise():
+    rng = random.Random(5)
+    seen = {"not a layering": 0, "violating": 0, "geodesic": 0}
+    for _ in range(20000):
+        n = rng.randint(1, 13)
+        p = rng.uniform(0.05, 0.5)
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+        g = OrderedGraph(range(n), edges)
+        part = rng.sample(range(n), rng.randint(1, n))
+        lam = {v: rng.randint(-3, 4) for v in part}
+        ref = _pairwise_geodesic(g, edges, part, lam)
+        if ref is None:
+            seen["not a layering"] += 1
+            with pytest.raises(GraphError):
+                is_geodesic(g, part, lam)
+            with pytest.raises(GraphError):
+                extend_geodesic_layering(g, part, lam)
+            continue
+        violates, ext = ref
+        ok, pair = is_geodesic(g, part, lam, return_witness=True)
+        assert ok == (ext is not None) == is_geodesic(g, part, lam)
+        if ext is None:
+            seen["violating"] += 1
+            assert violates(*pair)
+            with pytest.raises(NotGeodesicError) as err:
+                extend_geodesic_layering(g, part, lam)
+            assert violates(*err.value.pair)
+        else:
+            seen["geodesic"] += 1
+            assert pair is None
+            assert extend_geodesic_layering(g, part, lam) == ext
+    assert min(seen.values()) >= 800, seen
+
+
+def test_partition_check_needs_no_per_vertex_bfs():
+    res = chordal_geodesic_partition(gen_grid(30, 30), 5)
+    assert len(res.gp.parts) == 93
+    original = OrderedGraph.bfs_distances
+    calls = 0
+
+    def counting(self, source):
+        nonlocal calls
+        calls += 1
+        return original(self, source)
+
+    OrderedGraph.bfs_distances = counting
+    try:
+        ok = check_geodesic_partition(res.graph, res.gp, 3)
+    finally:
+        OrderedGraph.bfs_distances = original
+    assert ok
+    assert calls == 0
 
 
 def test_quotient_graph():
