@@ -151,23 +151,6 @@ def _instance_from_graph(problem, graph, colors):
     raise ValueError("unknown problem %r" % problem)
 
 
-def _map_instance(problem, inst, graph2, perm):
-    if perm is None:
-        return inst
-    if problem == "domset":
-        return ptas.DomSetInstance(
-            graph2,
-            frozenset(perm[v] for v in inst.demand),
-            tuple(frozenset(perm[v] for v in h) for h in inst.hits),
-        )
-    if problem == "mis":
-        return ptas.ISInstance(graph2, frozenset(perm[v] for v in inst.forbidden))
-    lists = dict(inst.lists)
-    return ptas.ColorInstance(
-        graph2, inst.colors, tuple(sorted((perm[v], lists[v]) for v in lists))
-    )
-
-
 def _solution_report(problem, sol, inv):
     back = (lambda v: inv[v]) if inv else (lambda v: v)
     report = {
@@ -189,7 +172,8 @@ def cmd_solve(args):
         _emit_json(_witness_report(built), args.output)
         return EXIT_MINOR_WITNESS
     graph2, strategy, perm = built
-    inst2 = _map_instance(args.problem, inst, graph2, perm)
+    # the reordered graph carries every annotation through perm
+    inst2 = inst if perm is None else _instance_from_graph(args.problem, graph2, args.colors)
     inv = {n: o for o, n in perm.items()} if perm else None
     solver = {
         "domset": ptas.solve_domset,

@@ -238,7 +238,7 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
             t.diagnostic = "no win within %d rounds" % budget
             return t
         try:
-            action = strategy.next_action(state)
+            action, strategy = strategy.next_action(state)
         except Exception as exc:  # structural violation inside a strategy
             t.outcome = "invalid"
             t.diagnostic = "strategy error: %s" % exc
@@ -262,7 +262,7 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
             t.diagnostic = "unknown action kind %r" % action.kind
             return t
         try:
-            strategy.observe(action, reply, new_state)
+            strategy = strategy.observe(action, reply, new_state)
         except Exception as exc:
             t.outcome = "invalid"
             t.diagnostic = "strategy error: %s" % exc
@@ -308,26 +308,23 @@ def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET, stats=None):
             if cached_val <= cached_rem or cached_rem >= remaining:
                 hits += 1
                 return cached_val
-        action = strat.next_action(st)
+        action, strat = strat.next_action(st)
         if action.kind == DELETE:
             ns = apply_delete(st)
-            strat.observe(action, None, ns)
-            val = 1 + go(strat, ns, remaining - 1)
+            val = 1 + go(strat.observe(action, None, ns), ns, remaining - 1)
         else:
             lam = action.layering
             worst = 0
             for iv, _kept in legal_replies(st, lam):
-                fork = strat.fork()
                 ns = apply_restrict(st, lam, iv)
-                fork.observe(action, iv, ns)
-                worst = max(worst, 1 + go(fork, ns, remaining - 1))
+                worst = max(worst, 1 + go(strat.observe(action, iv, ns), ns, remaining - 1))
                 if worst > remaining:
                     break
             val = worst
         memo[k] = (remaining, val)
         return val
 
-    val = go(strategy.fork(), state, cap)
+    val = go(strategy, state, cap)
     if stats is not None:
         stats["states"] = len(memo)
         stats["hits"] = hits

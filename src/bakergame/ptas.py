@@ -217,7 +217,7 @@ class _Search:
 
     def position(self, strat, state):
         """Id of the position strat plays at state, numbered on first
-        sight; the table takes over strat."""
+        sight."""
         g = state.graph
         if g.n == 0:
             return None
@@ -238,11 +238,11 @@ class _Search:
         strat, state = rec
         g = state.graph
         lo = g.vertices[0]
-        action = strat.next_action(state)
+        action, strat = strat.next_action(state)
         if action.kind == DELETE:
             ns = apply_delete(state)
-            strat.observe(action, None, ns)
-            rec = _Delete(lo, _bits_from(0, g.adj[lo]), self.position(strat, ns))
+            child = self.position(strat.observe(action, None, ns), ns)
+            rec = _Delete(lo, _bits_from(0, g.adj[lo]), child)
         else:
             covers = list(_dedup_covers(state.rseq.head, self.radius, action.layering))
             rec = _Restrict(lo, state, strat, action, covers)
@@ -255,9 +255,7 @@ class _Search:
         children = rec.children
         if window not in children:
             ns = apply_restrict(rec.state, rec.action.layering, window)
-            fork = rec.strat.fork()
-            fork.observe(rec.action, window, ns)
-            children[window] = self.position(fork, ns)
+            children[window] = self.position(rec.strat.observe(rec.action, window, ns), ns)
         return children[window]
 
     def tick(self):
@@ -660,7 +658,7 @@ _COLORABLE = _Problem(
 def _solve(prob, graph, inst, strategy, k, memo, deadline_seconds, max_nodes):
     dl = None if deadline_seconds is None else time.monotonic() + deadline_seconds
     search = _Search(prob.radius, dl, max_nodes)
-    pid = search.position(strategy.fork(), GameState(graph, ScheduleSeq(prob.name, k)))
+    pid = search.position(strategy, GameState(graph, ScheduleSeq(prob.name, k)))
     return _walk(prob, inst, pid, {} if memo else None, search)
 
 

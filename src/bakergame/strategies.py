@@ -1,20 +1,21 @@
 """Winning strategies for the deleting side, built compositionally.
 
-Each strategy is a small state machine: next_action(state) proposes a
-move, observe(action, reply, new_state) advances the private memory
-once the referee has resolved it, and fork() duplicates the memory so
-adversarial search and branching solvers can explore replies
-independently.
+Each strategy is an immutable value: next_action(state) returns the
+proposed move and the strategy that follows it, and observe(action,
+reply, new_state) returns the strategy once the referee has resolved
+the move.  Neither changes the object it is called on, so adversarial
+search and branching solvers explore replies by observing each one on
+the same strategy.
 
-Forking costs O(1).  Graphs, sequences, partitions and layerings are
-never mutated, and a strategy's own memory lives in attributes that are
-rebound rather than changed in place, so a fork shares all of them.
-The sub-strategies a composite drives are shared copy-on-write: a fork
-marks them shared, and whichever side next moves one forks it first, so
-a move copies only the strategies it advances.  state_id() numbers a
-strategy's memory within a StateIds table (equal numbers exactly for
-equal memory) and caches the number until the strategy moves; solvers
-and minimax key their memos on it.
+A move that changes memory starts from a shallow copy, self.fork(), and
+rebinds attributes of the copy only; a move that changes nothing
+returns self.  Graphs, sequences, partitions and layerings are never
+mutated, so a copy shares all of them.  A composite advances a
+sub-strategy by rebinding the successor it returns.  state_id() numbers
+a strategy's memory within a StateIds table (equal numbers exactly for
+equal memory) and caches the number, which stays valid because an
+object's memory is fixed once a move returns it; solvers and minimax
+key their memos on it.
 
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
@@ -31,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import partial
 
-from .game import Action, GameState, DELETE, apply_delete, apply_restrict
+from .game import Action, GameState, DELETE
 from .graph import (
     GeodesicPartition,
     GraphError,
@@ -52,17 +53,15 @@ class StrategyError(RuntimeError):
 
 
 class DestroyerStrategy:
-    """Base class.  Subclasses rebind their memory attributes instead of
-    mutating them, name in SUBS the attributes holding sub-strategies,
-    and move a sub-strategy only through _own.  Every next_action and
-    observe starts by dropping the cached state number (_sid = None).
+    """Base class of strategy values.  next_action(state) returns
+    (action, successor) and observe(action, reply, new_state) the
+    successor; neither assigns an attribute of self outside __init__.
+    A changing move rebinds attributes of self.fork() instead.
     config() returns what stays fixed for the object's lifetime (it is
     pickled once) and state(ids) a hashable value of the rest, with
     sub-strategies given by their state_id."""
 
     descriptor = None
-    SUBS = ()
-    _shared = False
     _sid = None
     _config_key = None
 
@@ -70,26 +69,24 @@ class DestroyerStrategy:
         raise NotImplementedError
 
     def observe(self, action, reply, new_state):
-        pass
+        return self
 
     def fork(self):
+        """A shallow copy without the cached state number, for a move to
+        change."""
         clone = object.__new__(type(self))
         clone.__dict__.update(self.__dict__)
-        clone._shared = False
-        for name in self.SUBS:
-            sub = getattr(self, name)
-            if sub is not None:
-                sub._shared = True
+        clone._sid = None
         return clone
 
-    def _own(self, name):
-        """The sub-strategy held in attribute name, forked first if it is
-        shared, so that moving it cannot disturb another holder."""
-        sub = getattr(self, name)
-        if sub._shared:
-            sub = sub.fork()
-            setattr(self, name, sub)
-        return sub
+    def _rebind(self, name, value):
+        """This strategy with attribute name bound to value: self when it
+        already is, otherwise a changed copy."""
+        if getattr(self, name) is value:
+            return self
+        clone = self.fork()
+        setattr(clone, name, value)
+        return clone
 
     def config(self):
         return ()
@@ -171,11 +168,6 @@ class DistortionD:
 
 
 @dataclass(frozen=True)
-class SubgraphD:
-    host: object
-
-
-@dataclass(frozen=True)
 class MinorFreeD:
     """No K_k minor: a quotient over a width-(k-2) geodesic partition
     whose quotient graph is chordal of left-degree <= k-2, built by
@@ -227,8 +219,6 @@ def _rb(desc, r, cap):
         for i in range(1, desc.dim + 1):
             prod *= desc.beta * r.at(i) + 1
         return desc.dim + math.floor(prod)
-    if isinstance(desc, SubgraphD):
-        return _rb(desc.host, r, cap)
     if isinstance(desc, MinorFreeD):
         return _rb(QuotientD(ChordalD(desc.d), desc.d), r, cap)
     raise StrategyError("unknown descriptor %r" % (desc,))
@@ -266,28 +256,25 @@ class EdgelessStrategy(DestroyerStrategy):
         return self.phase
 
     def next_action(self, state):
-        self._sid = None
         if self.phase == "restrict":
             if state.graph.m:
                 raise StrategyError("graph has edges")
             if state.graph.n <= 1:
                 # nothing to separate
-                self.phase = "delete"
-                return Action.delete()
+                return Action.delete(), self._rebind("phase", "delete")
             try:
                 h = state.rseq.head
             except SequenceError:
                 # the window dwarfs any label spacing we could write down
-                self.phase = "delete"
-                return Action.delete()
+                return Action.delete(), self._rebind("phase", "delete")
             lam = {v: (i + 1) * h for i, v in enumerate(state.graph.vertices)}
-            return Action.restrict(lam)
-        return Action.delete()
+            return Action.restrict(lam), self
+        return Action.delete(), self
 
     def observe(self, action, reply, new_state):
-        self._sid = None
         if action.kind != DELETE:
-            self.phase = "delete"
+            return self._rebind("phase", "delete")
+        return self
 
 
 def _make_chain(layers, d):
@@ -312,8 +299,6 @@ class ChordalStrategy(DestroyerStrategy):
     peel the surviving levels as a chain of clique-sums over pieces of
     left-degree <= d-1."""
 
-    SUBS = ("delegate",)
-
     def __init__(self, d):
         if d < 1:
             raise StrategyError("d = %d: use EdgelessStrategy for d <= 0" % d)
@@ -332,24 +317,25 @@ class ChordalStrategy(DestroyerStrategy):
         return (self.phase, self.checked, self.bfs_key, _sub_id(self.delegate, ids))
 
     def next_action(self, state):
-        self._sid = None
         if self.delegate is not None:
-            return self._own("delegate").next_action(state)
+            a, delegate = self.delegate.next_action(state)
+            return a, self._rebind("delegate", delegate)
         g = state.graph
+        s = self.fork()
         if not self.checked:
             ok, ld = check_chordal_ordering(g)
             if not ok:
                 raise StrategyError("ordering is not chordal")
             if ld > self.d:
                 raise StrategyError("left-degree %d exceeds %d" % (ld, self.d))
-            self.checked = True
+            s.checked = True
         if self.phase == "spread":
             if g.is_connected():
                 # the spread Restrict could not separate anything
-                self.phase = "bfs"
+                s.phase = "bfs"
             else:
                 lam = spread_componentwise_layering(g, state.rseq.head)
-                return Action.restrict(lam)
+                return Action.restrict(lam), s
         # one component remains, so g is connected
         lam = bfs_layering(g, g.smallest())
         span = max(lam.values()) - min(lam.values()) + 1
@@ -363,26 +349,23 @@ class ChordalStrategy(DestroyerStrategy):
             layers = [
                 frozenset(v for v in g.vertices if lam[v] == lab) for lab in labels
             ]
-            self.delegate = _make_chain(layers, self.d)
-            return self.delegate.next_action(state)
-        self.bfs_lam = lam
-        self.bfs_key = frozenset(lam.items())
-        return Action.restrict(lam)
+            a, s.delegate = _make_chain(layers, self.d).next_action(state)
+            return a, s
+        s.bfs_lam = lam
+        s.bfs_key = frozenset(lam.items())
+        return Action.restrict(lam), s
 
     def observe(self, action, reply, new_state):
-        self._sid = None
         if self.delegate is not None:
-            self._own("delegate").observe(action, reply, new_state)
-            return
+            return self._rebind("delegate", self.delegate.observe(action, reply, new_state))
         if self.phase == "spread":
-            self.phase = "bfs"
-            return
+            return self._rebind("phase", "bfs")
         live = new_state.graph.vertex_set
         labels = sorted({self.bfs_lam[v] for v in live})
         layers = [
             frozenset(v for v in live if self.bfs_lam[v] == lab) for lab in labels
         ]
-        self.delegate = _make_chain(layers, self.d)
+        return self._rebind("delegate", _make_chain(layers, self.d))
 
 
 class CliqueSumStrategy(DestroyerStrategy):
@@ -393,8 +376,6 @@ class CliqueSumStrategy(DestroyerStrategy):
     read the sequence from the state, so no alignment padding is
     needed before the handover.  descriptor is the CliqueSumD that
     inner (its base) and leaf_factory() (its leaf) play."""
-
-    SUBS = ("inner", "leaf")
 
     def __init__(self, base, inner, leaf_factory, descriptor):
         self.base = frozenset(base)
@@ -424,39 +405,40 @@ class CliqueSumStrategy(DestroyerStrategy):
         )
 
     def next_action(self, state):
-        self._sid = None
         if self.exhausted:
-            return Action.delete()
+            return Action.delete(), self
         if self.leaf is not None:
-            return self._own("leaf").next_action(state)
+            a, leaf = self.leaf.next_action(state)
+            return a, self._rebind("leaf", leaf)
+        s = self.fork()
         if self.sim_rseq is None:
-            self.sim_rseq = PairedSeq(state.rseq)
+            s.sim_rseq = PairedSeq(state.rseq)
         g = state.graph
         bp = self.base & g.vertex_set
         if not bp:
-            self.leaf = self.leaf_factory()
-            return self.leaf.next_action(state)
+            a, s.leaf = self.leaf_factory().next_action(state)
+            return a, s
         try:
             if self.phase == "spread":
                 if g.is_connected():
                     # nothing to separate, go straight to the simulation
-                    self.phase = "mimic"
+                    s.phase = "mimic"
                 else:
                     lam = spread_componentwise_layering(g, state.rseq.head)
-                    self.pending = ("spread", None)
-                    return Action.restrict(lam)
-            sim_state = GameState(g.induced(bp), self.sim_rseq.tail(self.j), self.j)
-            a = self._own("inner").next_action(sim_state)
+                    s.pending = ("spread", None)
+                    return Action.restrict(lam), s
+            sim_state = GameState(g.induced(bp), s.sim_rseq.tail(self.j), self.j)
+            a, s.inner = self.inner.next_action(sim_state)
         except SequenceError:
             # the simulated windows grew past anything computable;
             # plain deletions still finish the game
-            self.exhausted = True
-            return Action.delete()
+            s.exhausted = True
+            return Action.delete(), s
         if a.kind == DELETE:
             if g.smallest() != min(bp):
                 raise StrategyError("smallest vertex lies outside the base")
-            self.pending = ("inner-delete", a)
-            return Action.delete()
+            s.pending = ("inner-delete", a)
+            return Action.delete(), s
         lam_star = a.layering
         lam = dict(lam_star)
         for comp in g.induced(g.vertex_set - bp).components():
@@ -465,33 +447,31 @@ class CliqueSumStrategy(DestroyerStrategy):
                 raise StrategyError("component not attached to the base")
             for v in comp:
                 lam[v] = lam_star[anchors[0]]
-        self.pending = ("inner-restrict", a)
-        return Action.restrict(lam)
+        s.pending = ("inner-restrict", a)
+        return Action.restrict(lam), s
 
     def observe(self, action, reply, new_state):
-        self._sid = None
         if self.exhausted:
-            return
+            return self
         if self.leaf is not None:
-            self._own("leaf").observe(action, reply, new_state)
-            return
+            return self._rebind("leaf", self.leaf.observe(action, reply, new_state))
+        s = self.fork()
         tag, inner_action = self.pending if self.pending else (None, None)
-        self.pending = None
+        s.pending = None
         if tag == "spread":
-            self.phase = "mimic"
-            return
+            s.phase = "mimic"
+            return s
         live = new_state.graph.vertex_set
-        self.j += 1
-        sim_new = GameState(
-            new_state.graph.induced(self.base & live), self.sim_rseq.tail(self.j), self.j
-        )
+        s.j = j = self.j + 1
+        s.base = self.base & live
+        sim_new = GameState(new_state.graph.induced(s.base), self.sim_rseq.tail(j), j)
         inner_reply = None if tag == "inner-delete" else reply
         try:
-            self._own("inner").observe(inner_action, inner_reply, sim_new)
+            s.inner = self.inner.observe(inner_action, inner_reply, sim_new)
         except SequenceError:
-            self.exhausted = True
-        self.base &= live
-        self.phase = "spread"
+            s.exhausted = True
+        s.phase = "spread"
+        return s
 
 
 class QuotientStrategy(DestroyerStrategy):
@@ -502,8 +482,6 @@ class QuotientStrategy(DestroyerStrategy):
     Either way a burst of d * head padding Deletes keeps the real
     sequence aligned with the thinned one the simulation reads.
     descriptor is a QuotientD or MinorFreeD; its d is the width."""
-
-    SUBS = ("inner",)
 
     def __init__(self, inner, gp, descriptor):
         self.inner = inner
@@ -534,63 +512,59 @@ class QuotientStrategy(DestroyerStrategy):
         )
 
     def next_action(self, state):
-        self._sid = None
-        if self.exhausted:
-            return Action.delete()
+        # padding follows a simulated move, so sim_rseq is set by then
+        if self.exhausted or self.padding > 0:
+            return Action.delete(), self
+        s = self.fork()
         if self.sim_rseq is None:
             if not check_geodesic_partition(state.graph, self.gp, self.d):
                 raise StrategyError("not a width-%d geodesic partition" % self.d)
-            self.sim_rseq = ThinnedSeq(state.rseq, self.d)
-        if self.padding > 0:
-            return Action.delete()
-        sim_state = GameState(self.h, self.sim_rseq.tail(self.j), self.j)
+            s.sim_rseq = ThinnedSeq(state.rseq, self.d)
+        sim_state = GameState(self.h, s.sim_rseq.tail(self.j), self.j)
         try:
-            a = self._own("inner").next_action(sim_state)
+            a, s.inner = self.inner.next_action(sim_state)
             head = state.rseq.head
         except SequenceError:
             # windows past anything computable; deletions still finish
-            self.exhausted = True
-            return Action.delete()
+            s.exhausted = True
+            return Action.delete(), s
         if a.kind == DELETE:
             p = self.h.smallest()
             live = self.gp.parts[p] & state.graph.vertex_set
             lam_p = {v: self.gp.part_layerings[p][v] for v in live}
             ext = extend_geodesic_layering(state.graph, live, lam_p)
-            self.pending = ("inner-delete", a, head)
-            return Action.restrict(ext)
+            s.pending = ("inner-delete", a, head)
+            return Action.restrict(ext), s
         lam_h = a.layering
         lam = {v: lam_h[self.part_of[v]] for v in state.graph.vertices}
-        self.pending = ("inner-restrict", a, head)
-        return Action.restrict(lam)
+        s.pending = ("inner-restrict", a, head)
+        return Action.restrict(lam), s
 
     def observe(self, action, reply, new_state):
-        self._sid = None
         if self.exhausted:
-            return
+            return self
+        s = self.fork()
         if self.padding > 0:
-            self.padding -= 1
-            return
+            s.padding = self.padding - 1
+            return s
         tag, a, head = self.pending
-        self.pending = None
-        self.j += 1
+        s.pending = None
+        s.j = j = self.j + 1
         try:
             if tag == "inner-delete":
                 new_h = self.h.induced(self.h.vertex_set - {self.h.smallest()})
-                self._own("inner").observe(
-                    a, None, GameState(new_h, self.sim_rseq.tail(self.j), self.j)
-                )
             else:
                 lo, hi = reply
-                keep = [p for p in self.h.vertices if lo <= a.layering[p] <= hi]
-                new_h = self.h.induced(keep)
-                self._own("inner").observe(
-                    a, reply, GameState(new_h, self.sim_rseq.tail(self.j), self.j)
-                )
+                new_h = self.h.induced(p for p in self.h.vertices if lo <= a.layering[p] <= hi)
+            inner_reply = None if tag == "inner-delete" else reply
+            sim_new = GameState(new_h, self.sim_rseq.tail(j), j)
+            s.inner = self.inner.observe(a, inner_reply, sim_new)
         except SequenceError:
-            self.exhausted = True
-            return
-        self.h = new_h
-        self.padding = self.d * head
+            s.exhausted = True
+            return s
+        s.h = new_h
+        s.padding = self.d * head
+        return s
 
 
 class DistortionStrategy(DestroyerStrategy):
@@ -611,22 +585,22 @@ class DistortionStrategy(DestroyerStrategy):
         return (self.axis, self.heads, self.checked)
 
     def next_action(self, state):
-        self._sid = None
         if not self.checked:
             validate_embedding(state.graph, self.emb)
-            self.checked = True
-        if self.axis < self.emb.dim:
-            lam = self.emb.coordinate_layering(state.graph, self.axis)
-            self.heads += (state.rseq.head,)
-            return Action.restrict(lam)
-        return Action.delete()
+        if self.axis >= self.emb.dim:
+            return Action.delete(), self._rebind("checked", True)
+        lam = self.emb.coordinate_layering(state.graph, self.axis)
+        s = self.fork()
+        s.checked = True
+        s.heads = self.heads + (state.rseq.head,)
+        return Action.restrict(lam), s
 
     def observe(self, action, reply, new_state):
-        self._sid = None
         if action.kind == DELETE or self.axis >= self.emb.dim:
-            return
-        self.axis += 1
-        if self.axis == self.emb.dim:
+            return self
+        s = self.fork()
+        s.axis = self.axis + 1
+        if s.axis == self.emb.dim:
             cap = 1
             for h in self.heads:
                 cap *= self.emb.beta * h + 1
@@ -635,67 +609,7 @@ class DistortionStrategy(DestroyerStrategy):
                     "%d survivors exceed the %d guaranteed by the embedding"
                     % (new_state.graph.n, math.floor(cap))
                 )
-
-
-class SubgraphStrategy(DestroyerStrategy):
-    """Drives a host strategy on a supergraph with a dominating
-    sequence and copies its moves down to the actual game."""
-
-    SUBS = ("host",)
-
-    def __init__(self, host_strategy, host_state):
-        self.host = host_strategy
-        self.host_graph = host_state.graph  # every later host graph is induced from it
-        self.host_state = host_state
-        self.descriptor = SubgraphD(host_strategy.descriptor)
-        self.pending = None
-        self.checked = False
-
-    def config(self):
-        return (self.host_graph, self.descriptor)
-
-    def state(self, ids):
-        hs = self.host_state
-        return (
-            hs.graph.vertex_set,
-            _seq_key(hs.rseq),
-            hs.round,
-            _pending_key(self.pending),
-            self.checked,
-            _sub_id(self.host, ids),
-        )
-
-    def next_action(self, state):
-        self._sid = None
-        hg = self.host_state.graph
-        if not self.checked:
-            if not state.graph.vertex_set <= hg.vertex_set:
-                raise StrategyError("vertices missing from the host graph")
-            for u, v in state.graph.edge_list():
-                if not hg.has_edge(u, v):
-                    raise StrategyError("edge (%d,%d) missing from the host" % (u, v))
-            self.checked = True
-        if state.rseq.head > self.host_state.rseq.head:
-            raise StrategyError("sequence not dominated by the host sequence")
-        a = self._own("host").next_action(self.host_state)
-        self.pending = a
-        if a.kind == DELETE:
-            return Action.delete()
-        lam = {v: a.layering[v] for v in state.graph.vertices}
-        return Action.restrict(lam)
-
-    def observe(self, action, reply, new_state):
-        self._sid = None
-        a = self.pending
-        self.pending = None
-        if a.kind == DELETE:
-            ns = apply_delete(self.host_state)
-            self._own("host").observe(a, None, ns)
-        else:
-            ns = apply_restrict(self.host_state, a.layering, reply)
-            self._own("host").observe(a, reply, ns)
-        self.host_state = ns
-        self.checked = False  # subgraph may shrink arbitrarily; recheck
+        return s
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,35 @@ def test_one_descriptor_grammar():
     assert found == []
 
 
+def test_strategy_moves_assign_nothing_on_self():
+    # strategies are values: outside __init__ a method rebinds attributes
+    # of a copy, never of self.  The state number caches in the base
+    # class's state_id are the only exception.
+    path = pathlib.Path(bakergame.__file__).parent / "strategies.py"
+    allowed = {("DestroyerStrategy", "state_id", name) for name in ("_sid", "_config_key")}
+    found = []
+    for cls in ast.parse(path.read_text(), str(path)).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if not issubclass(getattr(strategies, cls.name), strategies.DestroyerStrategy):
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+                    target, attr = node.args[0], "<setattr>"
+                elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                    target, attr = node.value, node.attr
+                else:
+                    continue
+                named_self = isinstance(target, ast.Name) and target.id == "self"
+                if named_self and (cls.name, fn.name, attr) not in allowed:
+                    where = (cls.name, fn.name, attr, node.lineno)
+                    found.append("%s.%s sets self.%s at line %d" % where)
+    assert found == []
+
+
 def test_perfbench_tracer_round_trips():
     # the benchmark's tracer rebinds library names from outside, so a
     # name it pins that the library drops must fail here too

@@ -2,7 +2,16 @@ import re
 
 import pytest
 
-from bakergame.game import GameState, minimax_rounds, parse_preserver, play
+from bakergame.game import (
+    DELETE,
+    GameState,
+    apply_delete,
+    apply_restrict,
+    legal_replies,
+    minimax_rounds,
+    parse_preserver,
+    play,
+)
 from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
 from bakergame.graph import OrderedGraph, check_chordal_ordering, check_geodesic_partition
 from bakergame.sequences import ConstSeq, ScheduleSeq
@@ -10,12 +19,12 @@ from bakergame.strategies import (
     ChainD,
     ChordalD,
     ChordalStrategy,
+    DestroyerStrategy,
     DistortionStrategy,
     EdgelessD,
     MinorFreeD,
     MinorWitness,
     StrategyError,
-    SubgraphStrategy,
     build_strategy,
     chordal_geodesic_partition,
     parse_descriptor,
@@ -141,14 +150,6 @@ def test_distortion_rejects_wrong_embedding():
     assert t.outcome == "invalid"
 
 
-def test_subgraph_strategy():
-    host, host_strat, _ = build_strategy("minorfree:5", gen_grid(3, 3))
-    sub = host.induced({0, 1, 2, 4, 7})
-    strat = SubgraphStrategy(host_strat, GameState(host, ConstSeq(2)))
-    t = play(strat, parse_preserver("max"), GameState(sub, ConstSeq(2)))
-    assert t.outcome == "win"
-
-
 def test_parse_descriptor():
     assert parse_descriptor("edgeless") == EdgelessD()
     assert parse_descriptor("chordal:3") == ChordalD(3)
@@ -206,8 +207,7 @@ def test_chain_descriptor_is_whole():
     # with every BFS level inside one window, a chordal strategy hands
     # over to a chain of clique-sums, one level per leaf
     g = gen_ktree(9, 2, seed=1)
-    strat = ChordalStrategy(2)
-    strat.next_action(GameState(g, ConstSeq(50)))
+    _, strat = ChordalStrategy(2).next_action(GameState(g, ConstSeq(50)))
     levels = len(set(g.bfs_distances(g.smallest()).values()))
     assert levels > 1
     for c in (1, 2):
@@ -219,15 +219,15 @@ def test_fork_independence():
     g = path(6)
     _, strat, _ = build_strategy("chordal:1", g)
     state = GameState(g, ConstSeq(2))
-    a = strat.next_action(state)
+    a, strat = strat.next_action(state)
     fork = strat.fork()
-    assert fork.next_action(state).kind == a.kind
+    assert fork.next_action(state)[0].kind == a.kind
 
 
 def test_fork_shares_static_config_and_stays_independent():
     g2, strat, _ = build_strategy("minorfree:5", gen_grid(4, 4))
     state = GameState(g2, ConstSeq(2))
-    strat.next_action(state)  # the first move checks the partition
+    _, strat = strat.next_action(state)  # the first move checks the partition
     fork = strat.fork()
     assert fork.gp is strat.gp
     assert fork.part_of is strat.part_of
@@ -235,3 +235,54 @@ def test_fork_shares_static_config_and_stays_independent():
     # playing the fork to the end must not disturb the strategy it came from
     assert play(fork, parse_preserver("max"), state).outcome == "win"
     assert play(strat.fork(), parse_preserver("first"), state).to_json() == before
+
+
+def _snapshot(strat, out):
+    """Record strat's attributes, and those of every sub-strategy it
+    holds, as (object, copy of vars)."""
+    out.append((strat, dict(vars(strat))))
+    for value in vars(strat).values():
+        if isinstance(value, DestroyerStrategy):
+            _snapshot(value, out)
+
+
+def test_moves_leave_their_strategy_unchanged():
+    # a strategy is a value: next_action and observe return the
+    # successor and leave every attribute of the object they are called
+    # on, and of its sub-strategies, bound to the same object
+    diag, emb = gen_diag_grid(3)
+    cases = [
+        ("edgeless", OrderedGraph(range(4), [])),
+        ("chordal:1", path(7)),
+        ("chordal:2", gen_ktree(9, 2, seed=1)),
+        ("chordal:3", gen_ktree(10, 3, seed=2)),
+        ("cliquesum(chordal:2,chordal:2)", gen_ktree(9, 2, seed=3)),
+        ("quotient(chordal:2,2)", gen_ktree(8, 2, seed=4)),
+        ("cliquesum(quotient(chordal:1,1),chordal:1)", path(7)),
+        ("minorfree:5", gen_grid(3, 4)),
+        ("distortion", diag),
+    ]
+    preserver = parse_preserver("max")
+    for text, g in cases:
+        g2, first, _ = build_strategy(text, g, emb)
+        for c in (1, 2):
+            strat, state = first, GameState(g2, ConstSeq(c))
+            snaps = []
+            for _ in range(round_bound(strat.descriptor, ConstSeq(c))):
+                if state.finished:
+                    break
+                _snapshot(strat, snaps)
+                action, strat = strat.next_action(state)
+                if action.kind == DELETE:
+                    reply, new = None, apply_delete(state)
+                else:
+                    lam = action.layering
+                    reply = preserver.choose(state, lam, legal_replies(state, lam))
+                    new = apply_restrict(state, lam, reply)
+                _snapshot(strat, snaps)
+                strat, state = strat.observe(action, reply, new), new
+            assert state.finished, (text, c)
+            for obj, saved in snaps:
+                now = vars(obj)
+                changed = {k for k in saved.keys() | now.keys() if now.get(k) is not saved.get(k)}
+                assert changed == set(), (text, c, type(obj).__name__)
