@@ -9,6 +9,7 @@ when the graph is empty.
 
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .graph import OrderedGraph, require_layering
@@ -77,7 +78,8 @@ def legal_replies(state, layering):
     vertex set they keep (first start wins).
 
     The start range is walked via the label positions where the kept
-    set changes, so huge heads cost nothing.
+    set changes, so huge heads cost nothing.  Kept sets are slices of
+    the vertices sorted by label.
     """
     require_layering(state.graph, layering, "proposed layering")
     head = state.rseq.head
@@ -89,11 +91,13 @@ def legal_replies(state, layering):
             if lo - head + 1 <= s <= hi:
                 starts.add(s)
     starts.add(lo - head + 1)
+    order = sorted(state.graph.vertices, key=layering.__getitem__)
+    keys = [layering[v] for v in order]
     out = []
     seen = set()
     for s in sorted(starts):
         iv = (s, s + head - 1)
-        kept = frozenset(v for v in state.graph.vertices if s <= layering[v] <= iv[1])
+        kept = frozenset(order[bisect_left(keys, s) : bisect_right(keys, iv[1])])
         if kept and kept not in seen:
             seen.add(kept)
             out.append((iv, kept))

@@ -276,7 +276,7 @@ def spread_componentwise_layering(graph, r):
     return lam
 
 
-def _pull_down(graph, part, lam):
+def _pull_down(graph, part, lam, lowest=None, stop=None):
     """One bucketed BFS from every vertex of part at once.
 
     Returns (best, src): best[v] = max over x in part of lam[x] - d(x, v)
@@ -284,13 +284,16 @@ def _pull_down(graph, part, lam):
     part attaining it.  Sources start in (-lam, vertex) order, each x
     when the level falls to lam[x]; a vertex keeps the first, highest
     level that reaches it.  An empty frontier jumps the level to the
-    next source's label.  O(n + m) plus a sort of part.
+    next source's label.  O(n + m) plus a sort of part.  Vertices below
+    lowest count as absent; with stop, the sweep ends once every level
+    >= stop is settled, which at the part's lowest label finishes part.
     """
     unknown = part - graph.vertex_set
     if unknown:
         raise GraphError("unknown source vertex %d" % min(unknown))
     sources = sorted(part, key=lambda x: (-lam[x], x))
     adj = graph.adj
+    lowest = (graph.vertices or (0,))[0] if lowest is None else lowest
     best = {}
     src = {}
     frontier = []
@@ -306,12 +309,14 @@ def _pull_down(graph, part, lam):
                 best[x] = level
                 src[x] = x
                 frontier.append(x)
+        if level == stop:
+            break
         level -= 1
         nxt = []
         for u in frontier:
             s = src[u]
             for w in adj[u]:
-                if w not in best:
+                if w >= lowest and w not in best:
                     best[w] = level
                     src[w] = s
                     nxt.append(w)
@@ -319,10 +324,10 @@ def _pull_down(graph, part, lam):
     return best, src
 
 
-def _geodesic_sweep(graph, part, lam):
+def _geodesic_sweep(graph, part, lam, lowest=None, stop=None):
     """Check lam on graph[part], pull it down; return (best, witness)."""
     require_layering(graph.induced(part), {v: lam[v] for v in part}, "partial layering")
-    best, src = _pull_down(graph, part, lam)
+    best, src = _pull_down(graph, part, lam, lowest, stop)
     # best[y] >= lam[y] always; it is larger exactly when some x has
     # d(x, y) < lam[x] - lam[y], and src[y] is such an x
     low = [y for y in part if best[y] != lam[y]]
@@ -343,7 +348,8 @@ def is_geodesic(graph, part, lam, return_witness=False):
     part.  The witness is (src[y], y) for the smallest such y: always a
     violating pair, not necessarily the first in vertex order.
     """
-    _, pair = _geodesic_sweep(graph, frozenset(part), lam)
+    part = frozenset(part)
+    _, pair = _geodesic_sweep(graph, part, lam, stop=min((lam[v] for v in part), default=0))
     if return_witness:
         return pair is None, pair
     return pair is None
@@ -438,24 +444,20 @@ def geodesic_partition_violation(graph, gp, d):
         return "stored quotient differs from quotient of the parts"
     if len(gp.part_layerings) != len(gp.parts):
         return "layering count differs from part count"
-    suffix = set(graph.vertex_set)
     for i, part in enumerate(gp.parts):
         lam = gp.part_layerings[i]
-        if set(lam) != set(part):
+        part = frozenset(part)
+        if set(lam) != part:
             return "layering %d does not cover part %d" % (i, i)
-        if layering_width({v: lam[v] for v in part}) > d:
+        if layering_width(lam) > d:
             return "part %d has layering width above %d" % (i, d)
-        sub = graph.induced(suffix)
+        # the parts respect the order, so the suffix is the vertices >= min(part)
         try:
-            ok, pair = is_geodesic(sub, part, lam, return_witness=True)
+            _, pair = _geodesic_sweep(graph, part, lam, min(part), min(lam.values()))
         except NotALayeringError as exc:
             return "part %d: %s" % (i, exc)
-        if not ok:
-            return "part %d layering not geodesic in the suffix graph at %s" % (
-                i,
-                pair,
-            )
-        suffix -= set(part)
+        if pair is not None:
+            return "part %d layering not geodesic in the suffix graph at %s" % (i, pair)
     return None
 
 

@@ -80,7 +80,11 @@ class GeomSeq(RSequence):
 
         if i > INDEX_LIMIT:
             raise SequenceError("index %d beyond evaluation limit" % i)
-        return self._check(i, math.ceil(self.a * self.b**i))
+        try:
+            value = math.ceil(self.a * self.b**i)
+        except OverflowError as exc:
+            raise SequenceError("geometric value overflows at index %d" % i) from exc
+        return self._check(i, value)
 
     def __repr__(self):
         return "geom:%s,%s" % (self.a, self.b)

@@ -442,11 +442,12 @@ class CliqueSumStrategy(DestroyerStrategy):
         lam_star = a.layering
         lam = dict(lam_star)
         for comp in g.induced(g.vertex_set - bp).components():
-            anchors = sorted(z for z in bp if g.adj[z] & comp)
+            anchors = bp & frozenset().union(*(g.adj[v] for v in comp))
             if not anchors:
                 raise StrategyError("component not attached to the base")
+            anchor_label = lam_star[min(anchors)]
             for v in comp:
-                lam[v] = lam_star[anchors[0]]
+                lam[v] = anchor_label
         s.pending = ("inner-restrict", a)
         return Action.restrict(lam), s
 

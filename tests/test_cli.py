@@ -124,6 +124,19 @@ def test_play_rejects_numbers_that_cannot_win(tmp_path, capsys):
         assert captured.err.startswith("error:") and text in captured.err
 
 
+def test_play_geom_sequence_past_float_range(tmp_path, capsys):
+    # the simulated windows of minorfree:6 read geom:1,2 past 2**1024;
+    # the strategy falls back on deletions and still wins
+    g = tmp_path / "g.gr"
+    run(capsys, ["generate", "grid", "--rows", "8", "--cols", "8", "-o", str(g)])
+    code, out = run(
+        capsys,
+        ["play", "--graph", str(g), "--strategy", "minorfree:6", "--rseq", "geom:1,2"],
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == "outcome win"
+
+
 def test_play_budget_exit(tmp_path, capsys):
     g = tmp_path / "g.gr"
     run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(g)])

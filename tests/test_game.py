@@ -1,3 +1,5 @@
+import random
+
 import networkx as nx
 import pytest
 
@@ -61,6 +63,45 @@ def test_legal_replies_huge_head_costs_nothing():
     # every distinct nonempty suffix or prefix of labels appears once
     assert len(replies) <= 5
     assert any(k == frozenset({0, 1, 2}) for _, k in replies)
+
+
+def _replies_by_scan(state, lam):
+    """legal_replies by its definition: the same candidate starts, each
+    kept set found by a scan of every vertex."""
+    head = state.rseq.head
+    labels = sorted(set(lam.values()))
+    lo, hi = labels[0], labels[-1]
+    starts = {lo - head + 1}
+    starts.update(s for lab in labels for s in (lab, lab - head + 1) if lo - head + 1 <= s <= hi)
+    out = []
+    for s in sorted(starts):
+        kept = frozenset(v for v in state.graph.vertices if s <= lam[v] <= s + head - 1)
+        if kept and all(kept != k for _, k in out):
+            out.append(((s, s + head - 1), kept))
+    return out
+
+
+def test_legal_replies_matches_per_start_scan():
+    rng = random.Random(3)
+    heads = {"below span": 0, "span or more": 0}
+    for _ in range(2000):
+        n = rng.randint(1, 16)
+        # labels with gaps and negative values; edges only where the
+        # labels differ by at most one, so lam is a layering
+        pool = sorted(rng.sample(range(-9, 10), rng.randint(1, 8)))
+        lam = {v: rng.choice(pool) for v in range(n)}
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if abs(lam[u] - lam[v]) <= 1 and rng.random() < 0.3
+        ]
+        span = max(lam.values()) - min(lam.values()) + 1
+        head = rng.randint(1, 2 * span + 2)
+        heads["below span" if head < span else "span or more"] += 1
+        state = GameState(OrderedGraph(range(n), edges), ConstSeq(head))
+        assert legal_replies(state, lam) == _replies_by_scan(state, lam)
+    assert min(heads.values()) >= 500, heads
 
 
 def test_play_edgeless_and_transcript_roundtrip():

@@ -1,4 +1,7 @@
+import ast
 import random
+import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +9,16 @@ from hypothesis import strategies as st
 
 from bakergame.graph import (
     Embedding,
+    GeodesicPartition,
     GraphError,
     NotGeodesicError,
     OrderedGraph,
+    PartitionError,
     bfs_layering,
     check_chordal_ordering,
     check_geodesic_partition,
     extend_geodesic_layering,
+    geodesic_partition_violation,
     is_geodesic,
     is_valid_layering,
     layering_width,
@@ -20,8 +26,8 @@ from bakergame.graph import (
     spread_componentwise_layering,
     validate_embedding,
 )
-from bakergame.generators import gen_grid
-from bakergame.strategies import chordal_geodesic_partition
+from bakergame.generators import gen_grid, gen_ktree
+from bakergame.strategies import MinorWitness, chordal_geodesic_partition
 
 
 def path(n):
@@ -195,6 +201,143 @@ def test_partition_check_needs_no_per_vertex_bfs():
         OrderedGraph.bfs_distances = original
     assert ok
     assert calls == 0
+
+
+def test_partition_check_builds_no_suffix_graphs(monkeypatch):
+    # part i's suffix graph is never built: the only induced graphs are
+    # the parts themselves, for their partial-layering check
+    res = chordal_geodesic_partition(gen_grid(30, 30), 5)
+    assert len(res.gp.parts) == 93
+    largest = max(map(len, res.gp.parts))
+    original = OrderedGraph.induced
+    sizes = []
+
+    def recording(self, vs):
+        h = original(self, vs)
+        sizes.append(h.n)
+        return h
+
+    monkeypatch.setattr(OrderedGraph, "induced", recording)
+    assert check_geodesic_partition(res.graph, res.gp, 3)
+    assert sizes and max(sizes) <= largest
+
+
+def _reference_partition_violation(graph, gp, d):
+    """The check by its definition: per part, the suffix graph built by
+    induced, and one BFS per part vertex in it.  Returns (reason, violates)
+    with the reason cut after "at " when a pair violates, and violates
+    the pair test of the part that failed (None otherwise)."""
+    try:
+        q = quotient(graph, gp.parts)
+    except PartitionError as exc:
+        return str(exc), None
+    if q != gp.quotient_graph:
+        return "stored quotient differs from quotient of the parts", None
+    if len(gp.part_layerings) != len(gp.parts):
+        return "layering count differs from part count", None
+    suffix = set(graph.vertices)
+    for i, part in enumerate(gp.parts):
+        lam = gp.part_layerings[i]
+        if set(lam) != set(part):
+            return "layering %d does not cover part %d" % (i, i), None
+        if layering_width(lam) > d:
+            return "part %d has layering width above %d" % (i, d), None
+        sub = graph.induced(suffix)
+        bad = [(u, v) for u, v in graph.edge_list() if u in part and v in part]
+        bad = [(u, v) for u, v in bad if abs(lam[u] - lam[v]) > 1]
+        if bad:
+            (u, v) = bad[0]
+            gap = abs(lam[u] - lam[v])
+            return "part %d: partial layering gap %d on edge (%d,%d)" % (i, gap, u, v), None
+        dist = {x: sub.bfs_distances(x) for x in part}
+
+        def violates(x, y, dist=dist, lam=lam):
+            dxy = dist[x].get(y)
+            return dxy is not None and dxy < abs(lam[x] - lam[y])
+
+        if any(violates(x, y) for x in part for y in part):
+            return "part %d layering not geodesic in the suffix graph at " % i, violates
+        suffix -= part
+    return None, None
+
+
+def _random_partition(rng):
+    """A graph with an ordered partition and part labels drawn to hit
+    every verdict of the check, or a built partition with one label
+    moved."""
+    if rng.random() < 0.25:
+        if rng.random() < 0.5:
+            g = gen_grid(rng.randint(1, 5), rng.randint(2, 5))
+        else:
+            g = gen_ktree(rng.randint(4, 12), rng.choice((2, 3)), seed=rng.randrange(10**6))
+        res = chordal_geodesic_partition(g, 5)
+        if isinstance(res, MinorWitness):
+            return None
+        gp = res.gp
+        lams = [dict(lam) for lam in gp.part_layerings]
+        lam = rng.choice(lams)
+        lam[rng.choice(sorted(lam))] += rng.choice((-2, -1, 1, 2))
+        return res.graph, GeodesicPartition(gp.parts, tuple(lams), gp.quotient_graph), 3
+    n = rng.randint(1, 14)
+    p = rng.uniform(0.1, 0.5)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    g = OrderedGraph(range(n), edges)
+    cuts = sorted(rng.sample(range(1, n), rng.randint(0, (n - 1) // 3)))
+    parts = [frozenset(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+    lams = []
+    for part in parts:
+        if rng.random() < 0.6:
+            # distances from a vertex of the graph or of the part's suffix
+            # (which may not be geodesic in the graph): geodesic in the
+            # suffix until one label moves
+            host = g if rng.random() < 0.5 else g.induced(range(min(part), n))
+            dist = host.bfs_distances(rng.choice(host.vertices))
+            off = rng.randint(-3, 3)
+            lam = {v: dist.get(v, 0) + off for v in part}
+            if rng.random() < 0.5:
+                # move one label as far as its neighbours in the part allow
+                v = rng.choice(sorted(part))
+                near = [lam[w] for w in g.adj[v] & part]
+                lo, hi = (max(near) - 1, min(near) + 1) if near else (lam[v] - 3, lam[v] + 3)
+                lam[v] = rng.randint(lo, hi) if lo <= hi else lam[v] + 2
+        else:
+            lam = {v: rng.randint(-2, 3) for v in part}
+        lams.append(lam)
+    roll = rng.random()
+    if roll < 0.03 and len(parts) > 1:
+        parts.reverse()
+        lams.reverse()
+    elif roll < 0.05:
+        lams.pop()
+    elif roll < 0.07:
+        lams[-1] = dict(lams[-1], **{str(n): 0})
+    q = quotient(g, parts) if roll >= 0.03 or len(parts) == 1 else OrderedGraph(range(len(parts)))
+    if 0.07 <= roll < 0.09:
+        q = OrderedGraph(range(len(parts) + 1))
+    return g, GeodesicPartition(tuple(parts), tuple(lams), q), rng.randint(1, 5)
+
+
+def test_partition_check_matches_suffix_graph_reference():
+    rng = random.Random(11)
+    seen = {}
+    for _ in range(6000):
+        drawn = _random_partition(rng)
+        if drawn is None:
+            continue
+        graph, gp, d = drawn
+        reason = geodesic_partition_violation(graph, gp, d)
+        ref, violates = _reference_partition_violation(graph, gp, d)
+        if violates is None:
+            assert reason == ref
+        else:
+            assert reason.startswith(ref)
+            x, y = ast.literal_eval(reason[len(ref) :])
+            assert violates(x, y)
+        kind = re.sub(r"-?\d+", "#", ref or "valid")
+        if ref is None and not all(map(partial(is_geodesic, graph), gp.parts, gp.part_layerings)):
+            kind = "valid, though not geodesic in the whole graph"
+        seen[kind] = seen.get(kind, 0) + 1
+    assert len(seen) == 9 and min(seen.values()) >= 40, seen
 
 
 def test_quotient_graph():

@@ -52,6 +52,16 @@ def test_index_limit_guards():
         GeomSeq(1, 2).at(10**8)
 
 
+def test_geom_overflow_is_a_sequence_error():
+    # 2.0**1100 leaves the float range long before INDEX_LIMIT; callers
+    # fall back on SequenceError, so the overflow must arrive as one
+    s = parse_rseq("geom:1,2")
+    with pytest.raises(SequenceError):
+        s.at(1100)
+    with pytest.raises(SequenceError):
+        s.tail(1000).at(100)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 20), st.integers(0, 20), st.integers(1, 10))
 def test_tail_composition(a, b, i):
