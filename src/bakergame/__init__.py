@@ -60,7 +60,6 @@ from .ptas import (
     BudgetExceededError,
     ColorInstance,
     DomSetInstance,
-    EpsSchedule,
     ISInstance,
     OracleError,
     Solution,

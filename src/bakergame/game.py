@@ -7,7 +7,6 @@ the induced subgraph with the tail of the sequence.  The strategy wins
 when the graph is empty.
 """
 
-import itertools
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -68,8 +67,12 @@ def apply_restrict(state, layering, interval):
         raise IllegalActionError(
             "interval length %d exceeds head %d" % (hi - lo + 1, state.rseq.head)
         )
-    keep = [v for v in state.graph.vertices if lo <= layering[v] <= hi]
-    return GameState(state.graph.induced(keep), state.rseq.tail(1), state.round + 1)
+    return _restricted(state, [v for v in state.graph.vertices if lo <= layering[v] <= hi])
+
+
+def _restricted(state, kept):
+    """The state after a Restrict that keeps the vertex set kept."""
+    return GameState(state.graph.induced(kept), state.rseq.tail(1), state.round + 1)
 
 
 def legal_replies(state, layering):
@@ -217,22 +220,6 @@ def parse_preserver(text):
 DEFAULT_BUDGET = 10**4
 
 
-class StateIds:
-    """Numbers strategy memories for the memo of one search: state_id()
-    gives two strategies the same number exactly when their memories
-    are equal.  The serial tells cached numbers of different tables
-    apart."""
-
-    _serials = itertools.count()
-
-    def __init__(self):
-        self.serial = next(self._serials)
-        self._ids = {}
-
-    def number(self, key):
-        return self._ids.setdefault(key, len(self._ids))
-
-
 def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
     """Referee a full game; returns a Transcript."""
     t = Transcript(initial_vertices=tuple(state.graph.vertices))
@@ -289,47 +276,33 @@ def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET, stats=None):
     """Worst case number of rounds over all canonical preserver replies.
 
     Returns cap + 1 when some line of play exceeds cap rounds.  When
-    stats is a dict it receives "states", the number of positions
-    memoised, and "hits", the memo lookups that returned a cached value.
+    stats is a dict it receives "states", the number of positions at
+    which the strategy was played.  Each reply's state is built from the
+    kept set legal_replies returns, so every proposed layering is
+    checked once, and replies past the saturation cut-off are not built.
     """
-    memo = {}
-    ids = StateIds()
-    hits = 0
-
-    def key_of(strat, st):
-        return (st.graph.vertices, strat.state_id(ids), st.rseq.key())
+    states = 0
 
     def go(strat, st, remaining):
-        nonlocal hits
+        nonlocal states
         if st.finished:
             return 0
         if remaining <= 0:
             return 1  # saturate: one more round than allowed
-        k = key_of(strat, st)
-        if k in memo:
-            cached_rem, cached_val = memo[k]
-            # cached value is exact if it was computed with enough headroom
-            if cached_val <= cached_rem or cached_rem >= remaining:
-                hits += 1
-                return cached_val
+        states += 1
         action, strat = strat.next_action(st)
         if action.kind == DELETE:
             ns = apply_delete(st)
-            val = 1 + go(strat.observe(action, None, ns), ns, remaining - 1)
-        else:
-            lam = action.layering
-            worst = 0
-            for iv, _kept in legal_replies(st, lam):
-                ns = apply_restrict(st, lam, iv)
-                worst = max(worst, 1 + go(strat.observe(action, iv, ns), ns, remaining - 1))
-                if worst > remaining:
-                    break
-            val = worst
-        memo[k] = (remaining, val)
-        return val
+            return 1 + go(strat.observe(action, None, ns), ns, remaining - 1)
+        worst = 0
+        for iv, kept in legal_replies(st, action.layering):
+            ns = _restricted(st, kept)
+            worst = max(worst, 1 + go(strat.observe(action, iv, ns), ns, remaining - 1))
+            if worst > remaining:
+                break
+        return worst
 
     val = go(strategy, state, cap)
     if stats is not None:
-        stats["states"] = len(memo)
-        stats["hits"] = hits
+        stats["states"] = states
     return min(val, cap + 1)

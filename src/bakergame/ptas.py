@@ -34,10 +34,10 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 
 from .covers import Cover, margin, occupied_intervals, plan_dp
-from .game import DELETE, GameState, StateIds, apply_delete, apply_restrict
+from .game import DELETE, GameState, apply_delete, apply_restrict
 from .graph import OrderedGraph
 from .sequences import ScheduleSeq
 
@@ -125,25 +125,6 @@ class ColorInstance:
         return ColorInstance(graph, c, tuple((v, full) for v in graph.vertices))
 
 
-@dataclass(frozen=True)
-class EpsSchedule:
-    """Per-round slack: eps_i = 2**(-i) / (k+1), so that the products
-    prod(1 + eps_i) and prod(1 - eps_i) stay within 1 +/- 1/k."""
-
-    k: int
-
-    def eps(self, i):
-        return Fraction(1, (self.k + 1) * 2**i)
-
-    def check_products(self, levels=64):
-        up = Fraction(1)
-        down = Fraction(1)
-        for i in range(1, levels + 1):
-            up *= 1 + self.eps(i)
-            down *= 1 - self.eps(i)
-        return up <= 1 + Fraction(1, self.k) and down >= 1 - Fraction(1, self.k)
-
-
 def ratio_bound(problem, k):
     """Guaranteed ratio against the optimum: an upper bound factor for
     minimization, a lower bound factor for maximization."""
@@ -191,6 +172,22 @@ class _Restrict:
     action: object
     covers: list
     children: dict = field(default_factory=dict)
+
+
+class StateIds:
+    """Numbers strategy memories for the position table of one search:
+    state_id() gives two strategies the same number exactly when their
+    memories are equal.  The serial tells cached numbers of different
+    tables apart."""
+
+    _serials = count()
+
+    def __init__(self):
+        self.serial = next(self._serials)
+        self._ids = {}
+
+    def number(self, key):
+        return self._ids.setdefault(key, len(self._ids))
 
 
 class _Search:

@@ -14,8 +14,8 @@ mutated, so a copy shares all of them.  A composite advances a
 sub-strategy by rebinding the successor it returns.  state_id() numbers
 a strategy's memory within a StateIds table (equal numbers exactly for
 equal memory) and caches the number, which stays valid because an
-object's memory is fixed once a move returns it; solvers and minimax
-key their memos on it.
+object's memory is fixed once a move returns it; the solvers' position
+table keys on it.
 
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
@@ -95,7 +95,8 @@ class DestroyerStrategy:
         raise NotImplementedError
 
     def state_id(self, ids):
-        """Number of this strategy's memory in the StateIds table ids."""
+        """Number of this strategy's memory in ids, a ptas.StateIds
+        table."""
         cached = self._sid
         if cached is not None and cached[0] == ids.serial:
             return cached[1]

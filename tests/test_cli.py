@@ -137,6 +137,21 @@ def test_play_geom_sequence_past_float_range(tmp_path, capsys):
     assert out.splitlines()[-1] == "outcome win"
 
 
+def test_play_schedule_sequence_syntax(tmp_path, capsys):
+    # the README form schedule:<problem>:<k>; a comma before k is rejected
+    g = tmp_path / "g.gr"
+    run(capsys, ["generate", "ktree", "--n", "12", "--d", "2", "-o", str(g)])
+    argv = ["play", "--graph", str(g), "--strategy", "chordal:2", "--rseq"]
+    code, out = run(capsys, argv + ["schedule:mis:2"])
+    assert code == 0
+    assert out.splitlines()[-1] == "outcome win"
+    code = main(argv + ["schedule:mis,2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "bad sequence descriptor" in captured.err
+
+
 def test_play_budget_exit(tmp_path, capsys):
     g = tmp_path / "g.gr"
     run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(g)])

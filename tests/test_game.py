@@ -3,6 +3,7 @@ import random
 import networkx as nx
 import pytest
 
+from bakergame import game
 from bakergame.game import (
     Action,
     FirstPreserver,
@@ -18,7 +19,7 @@ from bakergame.game import (
     parse_preserver,
     play,
 )
-from bakergame.generators import gen_ktree
+from bakergame.generators import gen_grid, gen_ktree
 from bakergame.graph import OrderedGraph
 from bakergame.sequences import ConstSeq
 from bakergame.strategies import EdgelessStrategy, build_strategy
@@ -162,18 +163,41 @@ def test_minimax_saturates_at_cap():
     assert minimax_rounds(strat.fork(), GameState(g, ConstSeq(1)), cap=1) == 2
 
 
-def test_minimax_stats_count_states_and_hits():
-    atlas = nx.graph_atlas(50)  # 5 vertices, 8 edges, no K5 minor
-    cases = [
-        build_strategy("minorfree:5", OrderedGraph(range(5), atlas.edges())) + (1,),
-        build_strategy("chordal:2", gen_ktree(20, 2, seed=0)) + (2,),
-    ]
-    seen = []
-    for g, strat, _, c in cases:
-        stats = {}
-        plain = minimax_rounds(strat.fork(), GameState(g, ConstSeq(c)))
-        assert minimax_rounds(strat.fork(), GameState(g, ConstSeq(c)), stats=stats) == plain
-        assert stats["states"] >= 1 and stats["hits"] >= 0
-        seen.append(stats)
-    # [DERIVED] the 2-tree reaches some position twice under c=2
-    assert seen[1]["hits"] >= 1
+SPOT_CASES = {
+    # atlas graph 50: 5 vertices, 8 edges, no K5 minor
+    "atlas50": lambda: build_strategy(
+        "minorfree:5", OrderedGraph(range(5), nx.graph_atlas(50).edges())
+    ),
+    "2-tree": lambda: build_strategy("chordal:2", gen_ktree(20, 2, seed=0)),
+    "3-tree": lambda: build_strategy("chordal:3", gen_ktree(40, 3, seed=1)),
+    "grid4x4": lambda: build_strategy("minorfree:5", gen_grid(4, 4)),
+}
+
+
+@pytest.mark.parametrize(
+    "name, c, rounds, states",
+    [
+        ("atlas50", 1, 6, 7),
+        ("2-tree", 2, 9, 97),
+        ("3-tree", 2, 13, 266),
+        ("grid4x4", 1, 11, 20),
+    ],
+)
+def test_minimax_values_and_states_pinned(name, c, rounds, states):
+    # Exact worst cases, and the positions at which minimax played the
+    # strategy: a change to the reply walk that altered either shows here.
+    g, strat, _ = SPOT_CASES[name]()
+    stats = {}
+    assert minimax_rounds(strat, GameState(g, ConstSeq(c)), stats=stats) == rounds
+    assert stats == {"states": states}
+
+
+def test_minimax_checks_each_layering_once(monkeypatch):
+    # minimax builds every reply's state from the kept set legal_replies
+    # has already checked, so it never goes through apply_restrict
+    def refuse(*args):
+        raise AssertionError("apply_restrict called by minimax_rounds")
+
+    monkeypatch.setattr(game, "apply_restrict", refuse)
+    g, strat, _ = SPOT_CASES["2-tree"]()
+    assert minimax_rounds(strat, GameState(g, ConstSeq(2))) == 9

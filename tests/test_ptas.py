@@ -25,11 +25,6 @@ def strat(text, g):
     return build_strategy(text, g)[1]
 
 
-def test_eps_schedule_products_converge():
-    for k in (1, 2, 3, 5):
-        assert ptas.EpsSchedule(k).check_products()
-
-
 def test_ratio_bound_values():
     from fractions import Fraction
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,20 @@ def test_geom():
     # [DERIVED] ceil(2 * 3^i) for i = 1, 2, 3
     assert [s.at(i) for i in range(1, 4)] == [6, 18, 54]
     assert s.tail(1).at(1) == 18
+
+
+def test_schedule_products_converge():
+    # [DERIVED] eps_i = 2 / at(i) = 2^-i / (k+1) on the ccolorable
+    # schedule, so prod(1 + eps_i) <= 1 + 1/k and prod(1 - eps_i) >= 1 - 1/k
+    for k in (1, 2, 3, 5):
+        s = ScheduleSeq("ccolorable", k)
+        up = down = Fraction(1)
+        for i in range(1, 65):
+            eps = Fraction(2, s.at(i))
+            up *= 1 + eps
+            down *= 1 - eps
+        assert up <= 1 + Fraction(1, k)
+        assert down >= 1 - Fraction(1, k)
 
 
 def test_schedule_values():
