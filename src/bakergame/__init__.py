@@ -54,7 +54,7 @@ from .strategies import (
     round_bound,
     verify_minor_witness,
 )
-from .covers import Cover, all_covers, margin, occupied_intervals, plan_dp
+from .covers import Cover, margin, occupied_intervals, plan_dp
 from .ptas import (
     INFEASIBLE,
     BudgetExceededError,

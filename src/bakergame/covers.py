@@ -38,10 +38,6 @@ class Cover:
         return (start, start + self.ell - 1)
 
 
-def all_covers(ell, r):
-    return [Cover(ell, r, rho) for rho in range(ell - 2 * r)]
-
-
 def margin(interval, d):
     """Trim d off both ends; may be empty (lo > hi)."""
     lo, hi = interval

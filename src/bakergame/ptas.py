@@ -17,13 +17,14 @@ plays the strategy there once and records the move and the child
 positions; every later node at that position reads the record.
 
 One walk serves all three problems.  It keeps the game tree on an
-explicit stack of generators, one per node, so deep games need no deep
-Python recursion.  A node is an instance and a position id.  What
-differs between the problems is a small _Problem record: the cover
-radius, the instance's memo key, the delete branches, how a cover
-slices the instance, how slice answers combine (a union, or for domset
-the plan_dp choice of which slice meets which hit-set) and the check on
-the combination.  Every node passes up (size, bag, provenance).
+explicit stack, so deep games need no deep Python recursion: a Delete
+node is a small frame, a Restrict node a generator.  A node is an
+instance and a position id.  What differs between the problems is a
+small _Problem record: the cover radius, the instance's memo key, the
+delete branches, how a cover slices the instance, how slice answers
+combine (a union, or for domset the plan_dp choice of which slice meets
+which hit-set) and the check on the combination.  Every node passes up
+(size, bag, provenance).
 
 The accumulated loss is one (1 +/- eps_level) factor per Restrict, and
 the window schedule makes those products converge to 1 +/- 1/k.
@@ -42,6 +43,7 @@ from .graph import OrderedGraph
 from .sequences import ScheduleSeq
 
 INFEASIBLE = None
+_MISS = object()  # a memo lookup that found nothing
 
 
 class PtasError(ValueError):
@@ -226,13 +228,11 @@ class _Search:
         return pid
 
     def expand(self, pid):
-        """The record of position pid, playing the strategy's move there
-        if no node has yet.  A Delete record keeps neither the state nor
-        the strategy, only what the delete branches need."""
-        rec = self.positions[pid]
-        if type(rec) is not tuple:
-            return rec
-        strat, state = rec
+        """Play the strategy's move at position pid, which no node has
+        reached yet, and return its record.  A Delete record keeps
+        neither the state nor the strategy, only what the delete
+        branches need."""
+        strat, state = self.positions[pid]
         g = state.graph
         lo = g.vertices[0]
         action, strat = strat.next_action(state)
@@ -372,86 +372,109 @@ class _Problem:
         return a != b and (a > b) == self.maximize
 
 
-def _node(prob, inst, pid, memo, search):
-    """One node of the game tree, as a generator: it yields (instance,
-    position id) for each child and is sent the child's answer.
-    Answers are INFEASIBLE or (size, bag, provenance)."""
-    search.tick()
-    if pid is None:
-        return prob.leaf(inst)
-    rec = search.expand(pid)
-    key = None
-    if memo is not None:
-        key = pickle.dumps((pid, prob.instance_key(inst, rec.lo)))
-        if key in memo:
-            return memo[key]
-    if type(rec) is _Delete:
-        out = INFEASIBLE
-        for cell, sub in prob.delete_branches(inst, rec.lo, rec.nbrs):
-            res = yield sub, rec.child
-            if res is INFEASIBLE:
-                continue
-            if cell is not None:
-                res = (res[0] + 1, (cell, res[1]), res[2])
-            if out is INFEASIBLE or not prob.better(out[0], res[0]):
-                out = res
-    else:
-        state = rec.state
-        g = state.graph
-        lam = rec.action.layering
-        best = INFEASIBLE
-        for residue, intervals in rec.covers:
-            plan = prob.slice(inst, g, lam, intervals, prob.radius)
-            if plan is INFEASIBLE:
-                continue
-            tables = []
-            for window, subs in plan:
-                table = {}
-                for tag, sub in subs:
-                    if sub is INFEASIBLE:
-                        continue
-                    res = yield sub, search.window_child(rec, window)
-                    if res is not INFEASIBLE:
-                        table[tag] = res
-                if not table:  # no slice of this window works: drop the cover
-                    break
-                tables.append((window, table))
-            else:
-                picked = prob.combine(inst, tables)
-                if picked is INFEASIBLE:
+def _restrict_node(prob, inst, rec, key, memo, search):
+    """The walk's frame for a node at a _Restrict position, as a
+    generator: it yields (instance, position id) for each slice and is
+    sent the slice's answer; it stores its own answer in the memo."""
+    state = rec.state
+    g = state.graph
+    lam = rec.action.layering
+    best = INFEASIBLE
+    for residue, intervals in rec.covers:
+        plan = prob.slice(inst, g, lam, intervals, prob.radius)
+        if plan is INFEASIBLE:
+            continue
+        tables = []
+        for window, subs in plan:
+            table = {}
+            for tag, sub in subs:
+                if sub is INFEASIBLE:
                     continue
-                chosen = frozenset().union(*(_bag_set(res[1]) for res in picked))
-                if best is INFEASIBLE or prob.better(len(chosen), best[1]):
-                    best = (residue, len(chosen), chosen, picked)
-        out = INFEASIBLE
-        if best is not INFEASIBLE:
-            residue, size, chosen, picked = best
-            prob.check(inst, g, chosen)
-            prov = [{"round": state.round + 1, "ell": state.rseq.head, "residue": residue}]
-            for res in picked:
-                prov.extend(res[2])
-            out = (size, (chosen, None), prov)
+                res = yield sub, search.window_child(rec, window)
+                if res is not INFEASIBLE:
+                    table[tag] = res
+            if not table:  # no slice of this window works: drop the cover
+                break
+            tables.append((window, table))
+        else:
+            picked = prob.combine(inst, tables)
+            if picked is INFEASIBLE:
+                continue
+            chosen = frozenset().union(*[_bag_set(res[1]) for res in picked])
+            if best is INFEASIBLE or prob.better(len(chosen), best[1]):
+                best = (residue, len(chosen), chosen, picked)
+    out = INFEASIBLE
+    if best is not INFEASIBLE:
+        residue, size, chosen, picked = best
+        prob.check(inst, g, chosen)
+        prov = [{"round": state.round + 1, "ell": state.rseq.head, "residue": residue}]
+        for res in picked:
+            prov.extend(res[2])
+        out = (size, (chosen, None), prov)
     if memo is not None:
         memo[key] = out
     return out
 
 
 def _walk(prob, inst, pid, memo, search):
-    """Play the game tree below position pid on an explicit stack of
-    _node generators, so that deep games need no deep Python
-    recursion."""
-    stack = [_node(prob, inst, pid, memo, search)]
-    res = None
-    while stack:
-        try:
-            child = stack[-1].send(res)
-        except StopIteration as done:
-            stack.pop()
-            res = done.value
+    """Answer the game tree below position pid: INFEASIBLE or (size,
+    bag, provenance).
+
+    The tree lives on an explicit stack, so deep games need no deep
+    Python recursion.  A node at a _Delete position is a list frame
+    [memo key, branches, next branch, best answer, child position]; a
+    later branch wins a tie.  A node at a _Restrict position is a
+    _restrict_node generator.  Each node ticks the budget on entry, and
+    its answer goes into the memo once its last child has answered."""
+    positions = search.positions
+    better = prob.better
+    stack = []
+    while True:
+        search.tick()
+        if pid is None:
+            res = prob.leaf(inst)
         else:
-            stack.append(_node(prob, *child, memo, search))
-            res = None
-    return res
+            rec = positions[pid]
+            if type(rec) is tuple:
+                rec = search.expand(pid)
+            key = memo is not None and pickle.dumps((pid, prob.instance_key(inst, rec.lo)))
+            res = memo.get(key, _MISS) if key else _MISS
+            if res is _MISS:
+                if type(rec) is _Delete:
+                    branches = prob.delete_branches(inst, rec.lo, rec.nbrs)
+                    stack.append([key, branches, 0, INFEASIBLE, rec.child])
+                else:
+                    stack.append(_restrict_node(prob, inst, rec, key, memo, search))
+                res = None  # a new frame is first sent None, which is INFEASIBLE
+        # pass res up the stack until a frame has another child to enter
+        while stack:
+            frame = stack[-1]
+            if type(frame) is list:
+                key, branches, i, best, child = frame
+                if res is not INFEASIBLE:
+                    cell = branches[i - 1][0]
+                    if cell is not None:
+                        res = (res[0] + 1, (cell, res[1]), res[2])
+                    if best is INFEASIBLE or not better(best[0], res[0]):
+                        frame[3] = res
+                if i < len(branches):
+                    frame[2] = i + 1
+                    inst, pid = branches[i][1], child
+                    break
+                stack.pop()
+                res = frame[3]
+                if memo is not None:
+                    memo[key] = res
+            else:
+                try:
+                    inst, pid = frame.send(res)
+                except StopIteration as done:
+                    stack.pop()
+                    res = done.value
+                else:
+                    break
+        else:
+            return res
 
 
 def _empty(inst):
@@ -603,7 +626,7 @@ def slice_ccolorable(lists, lam, interval):
 
 
 def _col_key(lists, lo):
-    return tuple(m >> lo for _, m in lists)
+    return tuple([m >> lo for _, m in lists])
 
 
 def _col_branches(lists, v, nbrs):
@@ -611,14 +634,13 @@ def _col_branches(lists, v, nbrs):
     neighbours' lists.  Colours that occur on the same other vertices
     are interchangeable, so only the smallest of them is tried; smaller
     colours come later, so that they win ties."""
-    rest = tuple((a, m & ~(1 << v)) for a, m in lists)
+    rest = tuple([(a, m & ~(1 << v)) for a, m in lists])
     seen = set()
     coloured = []
-    for (a, m), (_, occ) in zip(lists, rest):
+    for i, ((a, m), (_, occ)) in enumerate(zip(lists, rest)):
         if m >> v & 1 and occ not in seen:
             seen.add(occ)
-            sub = tuple((b, o & ~nbrs if b == a else o) for b, o in rest)
-            coloured.append(((v, a), sub))
+            coloured.append(((v, a), rest[:i] + ((a, occ & ~nbrs),) + rest[i + 1 :]))
     return [(None, rest)] + coloured[::-1]
 
 

@@ -24,7 +24,6 @@ from bakergame import (
     MinorWitness,
     NotGeodesicError,
     OrderedGraph,
-    all_covers,
     bfs_layering,
     build_strategy,
     chordal_geodesic_partition,
@@ -65,6 +64,10 @@ def cycle(n):
 
 def complete(n):
     return OrderedGraph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def all_covers(ell, r):
+    return [Cover(ell, r, rho) for rho in range(ell - 2 * r)]
 
 
 def random_connected(n, extra, rng):

@@ -208,6 +208,21 @@ def test_solve_budget_exit(tmp_path, capsys):
     assert (report["nodes"], report["positions"]) == (6, 6)
 
 
+def test_solve_deadline_exit(tmp_path, capsys):
+    g = tmp_path / "g.gr"
+    run(capsys, ["generate", "grid", "--rows", "3", "--cols", "3", "-o", str(g)])
+    code, out = run(
+        capsys,
+        ["solve", "--problem", "mis", "--graph", str(g),
+         "--strategy", "minorfree:5", "--k", "2", "--deadline", "-1"],
+    )
+    assert code == 4
+    # the deadline had passed before the first node, which broke it
+    report = json.loads(out)
+    assert report["error"] == "time budget exhausted"
+    assert (report["nodes"], report["positions"]) == (1, 1)
+
+
 def test_solve_invalid_solution_exit(tmp_path, capsys, monkeypatch):
     from bakergame import ptas
 

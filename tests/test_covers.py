@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from bakergame.covers import (
     Cover,
-    all_covers,
     margin,
     occupied_intervals,
     plan_dp,
 )
+
+
+def all_covers(ell, r):
+    return [Cover(ell, r, rho) for rho in range(ell - 2 * r)]
 
 
 def test_cover_count_and_validation():

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import random
@@ -5,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from bakergame import ptas
 from bakergame.covers import Cover, margin, occupied_intervals
@@ -23,6 +26,13 @@ def cycle(n):
 
 def strat(text, g):
     return build_strategy(text, g)[1]
+
+
+_SOLVERS = {
+    "mis": ptas.solve_mis,
+    "domset": ptas.solve_domset,
+    "ccolorable": ptas.solve_ccolorable,
+}
 
 
 def test_ratio_bound_values():
@@ -155,6 +165,62 @@ def test_memo_on_off_agree():
         assert a.provenance == b.provenance
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    hst.integers(5, 12),
+    hst.sampled_from((2, 3)),
+    hst.integers(0, 10**6),
+    hst.sampled_from(sorted(_SOLVERS)),
+    hst.sampled_from((2, 3)),
+)
+def test_memo_on_off_agree_on_random_ktrees(n, d, seed, problem, k):
+    # the memo only skips nodes whose answer it already holds, so on
+    # and off find the same answer, colouring and provenance, and the
+    # checker accepts it
+    g2, st, _ = build_strategy("chordal:%d" % d, gen_ktree(n, d, seed=seed))
+    inst = gen_random_instance(problem, g2, seed=seed)
+    on = _SOLVERS[problem](inst, st.fork(), k, memo=True)
+    off = _SOLVERS[problem](inst, st.fork(), k, memo=False)
+    assert ptas.verify_solution(problem, inst, on)
+    assert (on.feasible, on.vertices, on.colors) == (off.feasible, off.vertices, off.colors)
+    assert on.provenance == off.provenance
+
+
+def test_delete_nodes_make_no_generators():
+    # The 3x3 game restricts once at the root, then pads with deletes.
+    # The walk keeps a delete node as a plain frame on its stack, so the
+    # only generators of ptas.py that run belong to that Restrict.
+    g2, st, _ = build_strategy("minorfree:5", gen_grid(3, 3))
+    inst = ptas.ISInstance.full(g2)
+    calls = {}
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == ptas.__file__:
+            name = (code.co_name, bool(code.co_flags & inspect.CO_GENERATOR))
+            calls[name] = calls.get(name, 0) + 1
+
+    sys.setprofile(profile)
+    try:
+        sol = ptas.solve_mis(inst, st.fork(), 2, memo=True)
+    finally:
+        sys.setprofile(None)
+    assert sol.size == 5 and [p["round"] for p in sol.provenance] == [1]
+    assert calls[("_mis_branches", False)] > 100
+    generators = {name for name, gen in calls if gen}
+    assert generators <= {"_restrict_node", "_dedup_covers"}, calls
+
+
+def test_deadline_budget_raises():
+    # a deadline already past stops the search at its first node, before
+    # the strategy has moved: one node, one position
+    g2, st, _ = build_strategy("minorfree:5", gen_grid(3, 3))
+    inst = ptas.ISInstance.full(g2)
+    with pytest.raises(ptas.BudgetExceededError, match="^time budget exhausted$") as exc:
+        ptas.solve_mis(inst, st.fork(), 2, memo=True, deadline_seconds=-1)
+    assert (exc.value.nodes, exc.value.positions) == (1, 1)
+
+
 def test_node_budget_raises():
     g2, st, _ = build_strategy("minorfree:5", gen_grid(3, 3))
     inst = ptas.ISInstance.full(g2)
@@ -209,11 +275,7 @@ def test_memo_node_counts_pinned(problem, rows, cols, seed, nodes):
         inst = ptas.DomSetInstance.full(g2)
     else:
         inst = ptas.ColorInstance.full(g2, 2)
-    solve = {
-        "mis": ptas.solve_mis,
-        "domset": ptas.solve_domset,
-        "ccolorable": ptas.solve_ccolorable,
-    }[problem]
+    solve = _SOLVERS[problem]
     sol = solve(inst, st.fork(), 2, memo=True, max_nodes=nodes)
     assert sol.feasible and ptas.verify_solution(problem, inst, sol)
     with pytest.raises(ptas.BudgetExceededError):
