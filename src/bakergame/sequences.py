@@ -1,9 +1,12 @@
 """Infinite positive-integer sequences driving the game.
 
-Sequences are never materialized: each kind stores a closed-form rule
-plus an offset, so tails are O(1) and arbitrary indices can be queried.
-All indices are 1-based.
+Sequences are never materialized: each kind stores a closed-form rule,
+and tails and every-second-element views are one affine wrapper,
+at(i) = base.at(a*i + b), that composes instead of nesting, so any view
+costs O(1); a constant is its own view.  All indices are 1-based.
 """
+
+import math
 
 
 class SequenceError(ValueError):
@@ -16,6 +19,15 @@ class SequenceError(ValueError):
 INDEX_LIMIT = 10**7
 
 
+def _index(i):
+    """i, if a rule that grows with the index may evaluate it."""
+    if i < 1:
+        raise SequenceError("index %d out of range" % i)
+    if i > INDEX_LIMIT:  # too many digits to print
+        raise SequenceError("index beyond the evaluation limit %d" % INDEX_LIMIT)
+    return i
+
+
 class RSequence:
     """Base class.  Subclasses implement at(i) for i >= 1."""
 
@@ -26,12 +38,18 @@ class RSequence:
     def head(self):
         return self.at(1)
 
+    def affine(self, a, b):
+        """The sequence i -> self.at(a*i + b), for a >= 1 and b >= 0."""
+        return AffineSeq(self, a, b)
+
     def tail(self, s=1):
         if s < 0:
             raise SequenceError("negative tail")
-        if s == 0:
-            return self
-        return TailSeq(self, s)
+        return self.affine(1, s) if s else self
+
+    def paired(self):
+        """Every second element: at(i) = self.at(2*i)."""
+        return self.affine(2, 0)
 
     def key(self):
         """repr(self), cached.  It spells out the whole structure, so
@@ -59,7 +77,7 @@ class ConstSeq(RSequence):
     def at(self, i):
         return self._check(i, self.c)
 
-    def tail(self, s=1):
+    def affine(self, a, b):
         return self
 
     def __repr__(self):
@@ -76,12 +94,8 @@ class GeomSeq(RSequence):
         self.b = b
 
     def at(self, i):
-        import math
-
-        if i > INDEX_LIMIT:
-            raise SequenceError("index %d beyond evaluation limit" % i)
         try:
-            value = math.ceil(self.a * self.b**i)
+            value = math.ceil(self.a * self.b ** _index(i))
         except OverflowError as exc:
             raise SequenceError("geometric value overflows at index %d" % i) from exc
         return self._check(i, value)
@@ -109,10 +123,7 @@ class ScheduleSeq(RSequence):
         self.k = k
 
     def at(self, i):
-        if i < 1:
-            raise SequenceError("index %d out of range" % i)
-        if i > INDEX_LIMIT:
-            raise SequenceError("index %d beyond evaluation limit" % i)
+        _index(i)
         k = self.k
         inv = 2 ** (i + 1) * (k + 1)  # exact 2/eps_i
         if self.problem == "domset":
@@ -127,44 +138,30 @@ class ScheduleSeq(RSequence):
         return "schedule:%s:%d" % (self.problem, self.k)
 
 
-class TailSeq(RSequence):
-    def __init__(self, base, offset):
-        # flatten nested tails so offsets stay additive
-        if isinstance(base, TailSeq):
-            offset += base.offset
-            base = base.base
-        self.base = base
-        self.offset = offset
+class AffineSeq(RSequence):
+    """at(i) = base.at(a*i + b).  Made by affine(), which on an
+    AffineSeq composes the two maps, so base is never an AffineSeq."""
+
+    def __init__(self, base, a, b):
+        self.base, self.a, self.b = base, a, b
 
     def at(self, i):
         if i < 1:
             raise SequenceError("index %d out of range" % i)
-        return self.base.at(i + self.offset)
+        return self.base.at(_index(self.a * i + self.b))
+
+    def affine(self, a, b):
+        return AffineSeq(self.base, self.a * a, self.a * b + self.b)
 
     def __repr__(self):
-        return "tail(%s, %d)" % (self.base.key(), self.offset)
-
-
-class PairedSeq(RSequence):
-    """Every second element: at(i) = base.at(2*i)."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def at(self, i):
-        if i < 1:
-            raise SequenceError("index %d out of range" % i)
-        return self.base.at(2 * i)
-
-    def __repr__(self):
-        return "paired(%s)" % (self.base.key(),)
+        return "affine(%s, %d, %d)" % (self.base.key(), self.a, self.b)
 
 
 class ThinnedSeq(RSequence):
     """Subsequence at indices i_0=0, i_j = i_{j-1} + d*base(i_{j-1}+1) + 1.
 
-    at(j) = base.at(i_{j-1} + 1).  index(j) returns i_j; both are
-    memoized so repeated queries stay cheap.
+    at(j) = base.at(i_{j-1} + 1).  index(j) returns i_j, memoized, and
+    like the other rules that grow with the index refuses j > INDEX_LIMIT.
     """
 
     def __init__(self, base, d):
@@ -174,20 +171,16 @@ class ThinnedSeq(RSequence):
         self.d = d
         self._idx = [0]
 
-    def index(self, j, cap=None):
-        if j < 0:
-            raise SequenceError("index %d out of range" % j)
+    def index(self, j):
+        if j:  # i_0 = 0 needs no rule
+            _index(j)
         while len(self._idx) <= j:
             prev = self._idx[-1]
-            if cap is not None and prev > cap:
-                return prev
             self._idx.append(prev + self.d * self.base.at(prev + 1) + 1)
         return self._idx[j]
 
     def at(self, j):
-        if j < 1:
-            raise SequenceError("index %d out of range" % j)
-        return self.base.at(self.index(j - 1) + 1)
+        return self.base.at(self.index(_index(j) - 1) + 1)
 
     def __repr__(self):
         return "thinned(%s, %d)" % (self.base.key(), self.d)

@@ -20,10 +20,13 @@ table keys on it.
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
 the contracted graph and translates contracted moves into a Restrict
-plus a burst of padding Deletes.  Round bounds for each composition
-are computed from descriptors by round_bound.  build_strategy reads
-descriptor text only through parse_descriptor and builds from the
-descriptor it returns; every strategy reports that descriptor.
+plus a burst of padding Deletes.  One clique-sum value plays a whole
+chain of clique-sums, as a tuple of frames that each simulate the frame
+below on their base and that every move walks in a loop.  Round bounds
+for each composition are computed from descriptors by round_bound.
+build_strategy reads descriptor text only through parse_descriptor and
+builds from the descriptor it returns; every strategy reports that
+descriptor.
 """
 
 import math
@@ -45,7 +48,7 @@ from .graph import (
     bfs_layering,
     validate_embedding,
 )
-from .sequences import PairedSeq, SequenceError, ThinnedSeq
+from .sequences import INDEX_LIMIT, SequenceError, ThinnedSeq
 
 
 class StrategyError(RuntimeError):
@@ -120,8 +123,6 @@ def _action_key(a):
 
 
 def _pending_key(pending):
-    if isinstance(pending, Action):
-        return _action_key(pending)
     if pending is None:
         return None
     return tuple(_action_key(x) if isinstance(x, Action) else x for x in pending)
@@ -185,6 +186,14 @@ def _sat(v, cap):
     return v if cap is None else min(v, cap + 1)
 
 
+def _glue(t1, leaf, r, cap):
+    """Rounds of a clique-sum whose base wins within t1 rounds of r
+    paired, and whose leaf then plays on the rest of r."""
+    if cap is not None and t1 > cap:
+        return cap + 1
+    return _sat(2 * t1 + _rb(leaf, r.tail(2 * t1 + 1), cap) + 1, cap)
+
+
 def _rb(desc, r, cap):
     if isinstance(desc, EdgelessD):
         return 2
@@ -196,19 +205,26 @@ def _rb(desc, r, cap):
             return cap + 1
         return _sat(_rb(ChainD(desc.d - 1, k), r.tail(2), cap) + 2, cap)
     if isinstance(desc, ChainD):
-        if desc.k <= 1:
-            return _rb(ChordalD(desc.d), r, cap)
-        t1 = _rb(ChainD(desc.d, desc.k - 1), PairedSeq(r), cap)
-        if cap is not None and t1 > cap:
-            return cap + 1
-        t2 = _rb(ChordalD(desc.d), r.tail(2 * t1 + 1), cap)
-        return _sat(2 * t1 + t2 + 1, cap)
+        if desc.k > INDEX_LIMIT:
+            raise SequenceError("chain longer than the evaluation limit %d" % INDEX_LIMIT)
+        if desc.d <= 0:
+            # edgeless levels: t_1 = 2 and t_i = 2 * t_{i-1} + 2 + 1
+            return _sat(5 * 2 ** (desc.k - 1) - 3, cap)
+        # level i of k glues ChordalD(d) on r paired k - i times over the
+        # levels below: build those sequences top-down, fold bottom-up
+        seqs = [r]
+        while len(seqs) < desc.k:
+            seqs.append(seqs[-1].paired())
+            # only a constant is its own pairing; any other r would be
+            # read at index 2 ** k or later by the bottom level
+            if seqs[-1] is not r and 2 ** len(seqs) > INDEX_LIMIT:
+                raise SequenceError("chain indexes past the evaluation limit %d" % INDEX_LIMIT)
+        t = _rb(ChordalD(desc.d), seqs.pop(), cap)
+        while seqs:
+            t = _glue(t, ChordalD(desc.d), seqs.pop(), cap)
+        return t
     if isinstance(desc, CliqueSumD):
-        t1 = _rb(desc.base, PairedSeq(r), cap)
-        if cap is not None and t1 > cap:
-            return cap + 1
-        t2 = _rb(desc.leaf, r.tail(2 * t1 + 1), cap)
-        return _sat(2 * t1 + t2 + 1, cap)
+        return _glue(_rb(desc.base, r.paired(), cap), desc.leaf, r, cap)
     if isinstance(desc, QuotientD):
         th = ThinnedSeq(r, desc.d)
         m = _rb(desc.inner, th, cap)
@@ -228,9 +244,10 @@ def _rb(desc, r, cap):
 def round_bound(desc, rseq, cap=None):
     """Rounds within which the described strategy wins, at worst.
 
-    With cap given, any value above cap is reported as cap + 1 and the
-    computation short-circuits, which also keeps sequence queries from
-    diverging on fast-growing schedules.
+    A bound that would read a sequence past INDEX_LIMIT raises
+    SequenceError.  With cap given, any value above cap is reported as
+    cap + 1 and the computation short-circuits, which also keeps
+    sequence queries from diverging on fast-growing schedules.
     """
     try:
         return _rb(desc, rseq, cap)
@@ -278,20 +295,21 @@ class EdgelessStrategy(DestroyerStrategy):
         return self
 
 
-def _make_chain(layers, d):
-    """Strategy for a graph split into consecutive layers, each layer
-    inducing a chordal piece of left-degree <= d-1, with every lower
-    prefix acting as a clique-sum base for the components above it."""
-    layers = [frozenset(p) for p in layers if p]
+def _make_chain(lam, d):
+    """Strategy for a graph whose levels under the layering lam each
+    induce a chordal piece of left-degree <= d-1, every lower prefix
+    acting as a clique-sum base for the components above it: one
+    CliqueSumStrategy with a frame per level but the last, over a
+    ChordalD(d-1) strategy for the first level."""
+    levels = {}
+    for v, lab in lam.items():
+        levels.setdefault(lab, []).append(v)
+    layers = [levels[lab] for lab in sorted(levels)]
     leaf = ChordalD(d - 1)
     if len(layers) <= 1:
         return _build(leaf)
-    return CliqueSumStrategy(
-        base=frozenset().union(*layers[:-1]),
-        inner=_make_chain(layers[:-1], d),
-        leaf_factory=partial(_build, leaf),
-        descriptor=CliqueSumD(ChainD(d - 1, len(layers) - 1), leaf),
-    )
+    desc = CliqueSumD(ChainD(d - 1, len(layers) - 1), leaf)
+    return CliqueSumStrategy(layers[:-1], _build(leaf), partial(_build, leaf), desc)
 
 
 class ChordalStrategy(DestroyerStrategy):
@@ -346,11 +364,7 @@ class ChordalStrategy(DestroyerStrategy):
             fits = True
         if fits:
             # every level already fits one window, peel them directly
-            labels = sorted(set(lam.values()))
-            layers = [
-                frozenset(v for v in g.vertices if lam[v] == lab) for lab in labels
-            ]
-            a, s.delegate = _make_chain(layers, self.d).next_action(state)
+            a, s.delegate = _make_chain(lam, self.d).next_action(state)
             return a, s
         s.bfs_lam = lam
         s.bfs_key = frozenset(lam.items())
@@ -361,118 +375,177 @@ class ChordalStrategy(DestroyerStrategy):
             return self._rebind("delegate", self.delegate.observe(action, reply, new_state))
         if self.phase == "spread":
             return self._rebind("phase", "bfs")
-        live = new_state.graph.vertex_set
-        labels = sorted({self.bfs_lam[v] for v in live})
-        layers = [
-            frozenset(v for v in live if self.bfs_lam[v] == lab) for lab in labels
-        ]
-        return self._rebind("delegate", _make_chain(layers, self.d))
+        lam = {v: self.bfs_lam[v] for v in new_state.graph.vertices}
+        return self._rebind("delegate", _make_chain(lam, self.d))
 
 
 class CliqueSumStrategy(DestroyerStrategy):
-    """For graphs glued from a base class along cliques: alternate a
-    componentwise Restrict with one simulated move on the base.  When
-    the surviving component misses the base entirely, hand over to a
-    fresh leaf strategy for the attached piece.  All strategies here
-    read the sequence from the state, so no alignment padding is
-    needed before the handover.  descriptor is the CliqueSumD that
-    inner (its base) and leaf_factory() (its leaf) play."""
+    """For graphs glued along cliques from a base class, once or as a
+    chain.  rank[v] is the index of v's layer; vertices in no layer rank
+    len(layers).  Frame i plays on the live vertices of rank <= i with
+    base those of rank < i: it alternates a componentwise Restrict with
+    one simulated move of frame i - 1 on its base, and once the base is
+    gone a fresh leaf_factory() strategy plays for it.  Frame 0 has no
+    base; bottom is its leaf.  All strategies here read the sequence from
+    the state, so no alignment padding is needed before a handover.
+    descriptor is the top frame's CliqueSumD.
 
-    def __init__(self, base, inner, leaf_factory, descriptor):
-        self.base = frozenset(base)
-        self.inner = inner
+    A frame is a tuple (live, sim_rseq, j, phase, pending, leaf,
+    exhausted): the vertex set it last saw a move on, its simulation's
+    sequence, round, phase and pending move, the strategy that plays for
+    it once its base is gone, and whether it gave up.  A move walks down
+    the frames to the one that acts and back up, translating the action
+    at each; one union-find sweep in rank order tells which of the nested
+    frame graphs are connected."""
+
+    def __init__(self, layers, bottom, leaf_factory, descriptor):
+        self.layers = tuple(frozenset(layer) for layer in layers)
+        self.rank = {v: i for i, layer in enumerate(self.layers) for v in layer}
+        live = frozenset(self.rank)
+        self.frames = ((live, None, 0, "spread", None, bottom, False),) + (
+            (live, None, 0, "spread", None, None, False),
+        ) * len(layers)
         self.leaf_factory = leaf_factory
         self.descriptor = descriptor
-        self.sim_rseq = None
-        self.j = 0
-        self.phase = "spread"
-        self.pending = None
-        self.leaf = None
-        self.exhausted = False
 
     def config(self):
         return (self.leaf_factory, self.descriptor)
 
     def state(self, ids):
-        return (
-            self.base,
-            _seq_key(self.sim_rseq),
-            self.j,
-            self.phase,
-            _pending_key(self.pending),
-            self.exhausted,
-            _sub_id(self.inner, ids),
-            _sub_id(self.leaf, ids),
-        )
+        below, keys = frozenset(), []  # frame i's base is live & below
+        for frame, layer in zip(self.frames, self.layers + (frozenset(),)):
+            live, sim, j, phase, pending, leaf, exhausted = frame
+            keys.append((live & below, _seq_key(sim), j, phase, _pending_key(pending), exhausted,
+                         _sub_id(leaf, ids)))
+            below |= layer
+        return tuple(keys)
 
-    def next_action(self, state):
-        if self.exhausted:
-            return Action.delete(), self
-        if self.leaf is not None:
-            a, leaf = self.leaf.next_action(state)
-            return a, self._rebind("leaf", leaf)
-        s = self.fork()
-        if self.sim_rseq is None:
-            s.sim_rseq = PairedSeq(state.rseq)
-        g = state.graph
-        bp = self.base & g.vertex_set
-        if not bp:
-            a, s.leaf = self.leaf_factory().next_action(state)
-            return a, s
-        try:
-            if self.phase == "spread":
-                if g.is_connected():
-                    # nothing to separate, go straight to the simulation
-                    s.phase = "mimic"
-                else:
-                    lam = spread_componentwise_layering(g, state.rseq.head)
-                    s.pending = ("spread", None)
-                    return Action.restrict(lam), s
-            sim_state = GameState(g.induced(bp), s.sim_rseq.tail(self.j), self.j)
-            a, s.inner = self.inner.next_action(sim_state)
-        except SequenceError:
-            # the simulated windows grew past anything computable;
-            # plain deletions still finish the game
-            s.exhausted = True
-            return Action.delete(), s
-        if a.kind == DELETE:
-            if g.smallest() != min(bp):
-                raise StrategyError("smallest vertex lies outside the base")
-            s.pending = ("inner-delete", a)
-            return Action.delete(), s
-        lam_star = a.layering
+    def _graph(self, g, i):
+        """Frame i's part of g, the vertices of rank <= i."""
+        return g if i == len(self.layers) else g.induced(frozenset().union(*self.layers[: i + 1]))
+
+    def _sweep(self, g):
+        """The lowest rank in g, and for each i whether the vertices of g
+        of rank <= i induce a connected graph."""
+        live, root, comps, low, connected = g.vertex_set, {}, 0, None, []
+
+        def find(v):
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        for r, layer in enumerate(self.layers + (live.difference(*self.layers),)):
+            for v in layer:
+                if v in live:
+                    root[v] = v  # v stays a root while it is added
+                    comps += 1
+                    for u in g.adj[v]:
+                        if u in root:
+                            u = find(u)
+                            if u != v:
+                                root[u] = v
+                                comps -= 1
+            if low is None and comps:
+                low = r
+            connected.append(comps <= 1)
+        return low, connected
+
+    def _lift(self, lam_star, g, i):
+        """lam_star, a layering of frame i's base, extended to its graph:
+        each other component takes the label of its smallest base neighbour."""
+        rank, top = self.rank, len(self.layers)
         lam = dict(lam_star)
-        for comp in g.induced(g.vertex_set - bp).components():
-            anchors = bp & frozenset().union(*(g.adj[v] for v in comp))
+        rest = self.layers[i] if i < top else g.vertex_set.difference(*self.layers)
+        for comp in g.induced(rest).components():
+            anchors = [u for v in comp for u in g.adj[v] if rank.get(u, top) < i]
             if not anchors:
                 raise StrategyError("component not attached to the base")
-            anchor_label = lam_star[min(anchors)]
-            for v in comp:
-                lam[v] = anchor_label
-        s.pending = ("inner-restrict", a)
-        return Action.restrict(lam), s
+            lam.update(dict.fromkeys(comp, lam_star[min(anchors)]))
+        return lam
+
+    def next_action(self, state):
+        g, top = state.graph, len(self.layers)
+        frames, connected, a = list(self.frames), None, None
+        rseq, rnd = state.rseq, state.round  # what frame i reads
+        try:
+            for i in range(top, -1, -1):  # down to the frame that acts
+                live, sim, j, phase, pending, leaf, exhausted = frames[i]
+                catch = i
+                if exhausted:
+                    a = Action.delete()
+                    break
+                if leaf is not None:
+                    break
+                if sim is None:
+                    sim = rseq.paired()
+                    frames[i] = (live, sim, j, phase, pending, leaf, exhausted)
+                if connected is None:
+                    low, connected = self._sweep(g)
+                if low >= i:
+                    break  # the base is gone: a fresh leaf plays
+                if phase == "spread" and not connected[i]:
+                    a = Action.restrict(spread_componentwise_layering(self._graph(g, i), rseq.head))
+                    frames[i] = (live, sim, j, phase, ("spread", None), leaf, exhausted)
+                    break
+                rseq, rnd = sim.tail(j), j
+            if a is None:  # frame i's leaf moves
+                catch = i + 1
+                leaf = leaf or self.leaf_factory()
+                a, leaf = leaf.next_action(GameState(self._graph(g, i), rseq, rnd))
+                frames[i] = (live, sim, j, phase, pending, leaf, exhausted)
+        except SequenceError:
+            # the windows grew past anything computable: the frame that
+            # met them deletes from now on (mimic if it was simulating)
+            if catch > top:
+                raise
+            frames[:catch] = self.frames[:catch]
+            live, sim, j, phase, pending, leaf, _ = frames[catch]
+            frames[catch] = (live, sim, j, "mimic" if catch > i else phase, pending, leaf, True)
+            i, a = catch, Action.delete()
+        # up, translating a at each frame; a Delete of frame i's smallest
+        # vertex is every frame's above exactly when it is g's smallest
+        if a.kind == DELETE and self.rank.get(g.smallest(), top) > i:
+            raise StrategyError("smallest vertex lies outside the base")
+        for i in range(i + 1, top + 1):
+            live, sim, j = frames[i][:3]
+            if a.kind == DELETE:
+                pending = ("inner-delete", a)
+            else:
+                pending = ("inner-restrict", a)
+                a = Action.restrict(self._lift(a.layering, g, i))
+            frames[i] = (live, sim, j, "mimic", pending, None, False)
+        s = self.fork()
+        s.frames = tuple(frames)
+        return a, s
 
     def observe(self, action, reply, new_state):
-        if self.exhausted:
-            return self
-        if self.leaf is not None:
-            return self._rebind("leaf", self.leaf.observe(action, reply, new_state))
+        g, top = new_state.graph, len(self.layers)
+        frames = list(self.frames)
+        for i in range(top, -1, -1):  # down to the frame that moved
+            live, sim, j, phase, pending, leaf, exhausted = frames[i]
+            if exhausted or leaf is not None:
+                break
+            tag, action = pending or (None, None)
+            if tag == "spread":
+                frames[i] = (live, sim, j, "mimic", None, None, False)
+                break
+            frames[i] = (g.vertex_set, sim, j + 1, "spread", None, None, False)
+            reply = None if tag == "inner-delete" else reply
+        if leaf is not None:
+            # the leaf observes; a sequence error there exhausts the frame
+            # above
+            if i < top:
+                sim, j = frames[i + 1][1:3]
+                new_state = GameState(self._graph(g, i), sim.tail(j), j)
+            try:
+                leaf = leaf.observe(action, reply, new_state)
+                frames[i] = frames[i][:5] + (leaf, exhausted)
+            except SequenceError:
+                if i == top:
+                    raise
+                frames[i + 1] = frames[i + 1][:6] + (True,)
         s = self.fork()
-        tag, inner_action = self.pending if self.pending else (None, None)
-        s.pending = None
-        if tag == "spread":
-            s.phase = "mimic"
-            return s
-        live = new_state.graph.vertex_set
-        s.j = j = self.j + 1
-        s.base = self.base & live
-        sim_new = GameState(new_state.graph.induced(s.base), self.sim_rseq.tail(j), j)
-        inner_reply = None if tag == "inner-delete" else reply
-        try:
-            s.inner = self.inner.observe(inner_action, inner_reply, sim_new)
-        except SequenceError:
-            s.exhausted = True
-        s.phase = "spread"
+        s.frames = tuple(frames)
         return s
 
 
@@ -803,7 +876,7 @@ def _build(desc, graph=None, embedding=None):
     if isinstance(desc, CliqueSumD):
         inner = _build(desc.base, graph, embedding)
         leaf_factory = partial(_build, desc.leaf, graph, embedding)
-        return CliqueSumStrategy(graph.vertex_set, inner, leaf_factory, desc)
+        return CliqueSumStrategy((graph.vertex_set,), inner, leaf_factory, desc)
     if isinstance(desc, QuotientD):
         # the trivial partition: every vertex is its own part
         parts = tuple(frozenset([v]) for v in graph.vertices)

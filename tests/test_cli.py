@@ -45,6 +45,31 @@ def test_play_reports_win(tmp_path, capsys):
     assert "wall_time" not in report  # deterministic without --timing
 
 
+@pytest.mark.parametrize(
+    "rows, cols, strategy, rseq",
+    [(1, 3, "chordal:1", "const:2000"), (2, 2, "minorfree:5", "schedule:mis:2")],
+)
+def test_play_json_reports_huge_round_bounds(tmp_path, capsys, rows, cols, strategy, rseq):
+    # the chain behind these bounds has 2000 levels on the path and about
+    # 1.2e26 on the grid: the path's bound is a number, and the grid's is
+    # a number or null, never a traceback
+    g = tmp_path / "g.gr"
+    run(capsys, ["generate", "grid", "--rows", str(rows), "--cols", str(cols), "-o", str(g)])
+    code, out = run(
+        capsys,
+        ["play", "--graph", str(g), "--strategy", strategy, "--rseq", rseq,
+         "--preserver", "max", "--json"],
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["outcome"] == "win"
+    bound = report["round_bound"]
+    if rows == 1:
+        assert isinstance(bound, int) and report["rounds"] <= bound
+    else:
+        assert bound is None or report["rounds"] <= bound
+
+
 def test_play_minor_witness_exit(tmp_path, capsys):
     g = tmp_path / "k5.gr"
     lines = ["p graph 5 10"] + [

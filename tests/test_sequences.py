@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bakergame.sequences import (
+    INDEX_LIMIT,
+    AffineSeq,
     ConstSeq,
     GeomSeq,
-    PairedSeq,
     ScheduleSeq,
     SequenceError,
     ThinnedSeq,
@@ -79,19 +80,29 @@ def test_geom_overflow_is_a_sequence_error():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 20), st.integers(0, 20), st.integers(1, 10))
-def test_tail_composition(a, b, i):
-    # tail(a).tail(b).at(i) == at(a + b + i) for any sequence
-    s = GeomSeq(2, 2)
-    assert s.tail(a).tail(b).at(i) == s.at(a + b + i)
+@given(st.lists(st.integers(-1, 20), max_size=6), st.integers(1, 10))
+def test_tail_composition(ops, i):
+    # any composition of tail(s) (s >= 0) and paired() (s = -1) reads
+    # the base at the composed index: tail(s) maps i to i + s and
+    # paired() maps i to 2i, and the wrappers flatten to one
+    j = i
+    for op in reversed(ops):
+        j = 2 * j if op < 0 else j + op
+    for s in (GeomSeq(1.5, 1.25), ScheduleSeq("mis", 2), ConstSeq(3)):
+        seq = s
+        for op in ops:
+            seq = seq.paired() if op < 0 else seq.tail(op)
+        assert seq.at(i) == s.at(j)
+        assert not isinstance(getattr(seq, "base", None), AffineSeq)
+    c = ConstSeq(3)
+    assert c.paired() is c and c.tail(4) is c
 
 
-def test_paired_doubles_indices():
-    s = GeomSeq(1, 2)
-    p = PairedSeq(s)
-    assert p.at(1) == s.at(2)
-    assert p.at(3) == s.at(6)
-    assert p.tail(1).at(1) == s.at(4)
+def test_affine_index_limit():
+    # an index past INDEX_LIMIT raises, whatever the base would do
+    s = ScheduleSeq("ccolorable", 1).paired().tail(INDEX_LIMIT // 2)
+    with pytest.raises(SequenceError):
+        s.at(1)
 
 
 def test_thinned_index_recurrence():
@@ -103,6 +114,8 @@ def test_thinned_index_recurrence():
     assert t.index(2) == 7 + 3 * 2 + 1
     assert t.at(1) == s.at(1)
     assert t.at(2) == s.at(8)
+    with pytest.raises(SequenceError):
+        t.index(INDEX_LIMIT + 1)
 
 
 def test_values_must_be_at_least_one():

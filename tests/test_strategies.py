@@ -1,6 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+import time
 
 import pytest
+
+import bakergame
 
 from bakergame.game import (
     DELETE,
@@ -14,7 +20,7 @@ from bakergame.game import (
 )
 from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
 from bakergame.graph import OrderedGraph, check_chordal_ordering, check_geodesic_partition
-from bakergame.sequences import ConstSeq, ScheduleSeq
+from bakergame.sequences import ConstSeq, ScheduleSeq, SequenceError
 from bakergame.strategies import (
     ChainD,
     ChordalD,
@@ -56,6 +62,43 @@ def test_round_bound_saturation():
     desc = MinorFreeD(5)
     cap = 50
     assert round_bound(desc, ScheduleSeq("mis", 2), cap) == cap + 1
+
+
+def test_round_bound_refuses_huge_thinned_indices():
+    # minorfree:3 at const:28 needs the thinned index of a 28-level
+    # chain bound, about 6.7e8, past INDEX_LIMIT: it fails fast instead
+    # of walking the index one step at a time
+    t0 = time.monotonic()
+    with pytest.raises(SequenceError):
+        round_bound(MinorFreeD(3), ConstSeq(28))
+    assert time.monotonic() - t0 < 1.0
+    assert round_bound(MinorFreeD(3), ConstSeq(28), cap=50) == 51
+
+
+_DEEP_PATH = """
+from bakergame.game import GameState, parse_preserver, play
+from bakergame.graph import OrderedGraph
+from bakergame.sequences import ConstSeq
+from bakergame.strategies import build_strategy, round_bound
+import sys
+n = 1050
+g = OrderedGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+_, strat, _ = build_strategy("chordal:1", g)
+t = play(strat, parse_preserver("max"), GameState(g, ConstSeq(n)))
+print(t.outcome, t.rounds <= round_bound(strat.descriptor, ConstSeq(n)), sys.getrecursionlimit())
+"""
+
+
+def test_deep_chain_needs_no_deep_recursion():
+    # a path of 1050 vertices fits one window, so chordal:1 peels it as
+    # a chain of 1049 clique-sums; each move walks the chain in a loop
+    src = os.path.dirname(os.path.dirname(bakergame.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_PATH], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["win", "True", "1000"]
 
 
 def test_minimax_meets_bounds():
