@@ -98,6 +98,14 @@ def test_tail_composition(ops, i):
     assert c.paired() is c and c.tail(4) is c
 
 
+def test_paired_doubles_indices():
+    s = GeomSeq(1, 2)
+    p = s.paired()
+    assert p.at(1) == s.at(2)
+    assert p.at(3) == s.at(6)
+    assert p.tail(1).at(1) == s.at(4)
+
+
 def test_affine_index_limit():
     # an index past INDEX_LIMIT raises, whatever the base would do
     s = ScheduleSeq("ccolorable", 1).paired().tail(INDEX_LIMIT // 2)
