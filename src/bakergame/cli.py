@@ -112,9 +112,11 @@ def cmd_play(args):
         report["rseq"] = args.rseq
         report["preserver"] = args.preserver
         try:
-            report["round_bound"] = round_bound(strategy.descriptor, rseq)
-        except SequenceError:
-            report["round_bound"] = None
+            bound = round_bound(strategy.descriptor, rseq)
+            str(bound)  # the report spells it in decimal, within Python's digit limit
+        except (SequenceError, ValueError):
+            bound = None
+        report["round_bound"] = bound
         if perm is not None:
             report["vertex_map"] = {str(o): n for o, n in sorted(perm.items())}
         if args.timing:

@@ -277,32 +277,46 @@ def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET, stats=None):
 
     Returns cap + 1 when some line of play exceeds cap rounds.  When
     stats is a dict it receives "states", the number of positions at
-    which the strategy was played.  Each reply's state is built from the
-    kept set legal_replies returns, so every proposed layering is
-    checked once, and replies past the saturation cut-off are not built.
+    which the strategy was played.  The walk keeps an explicit stack
+    with one frame per Restrict on the current line, so deep games need
+    no deep recursion.  Each reply's state is built from the kept set
+    legal_replies returns when the walk reaches it, so every proposed
+    layering is checked once, and replies past the saturation cut-off
+    are not built.
     """
-    states = 0
-
-    def go(strat, st, remaining):
-        nonlocal states
+    states, stack = 0, []  # frames [strategy, state, action, replies, worst, remaining, run]
+    strat, st, remaining, run = strategy, state, cap, 0  # run: Deletes since the last Restrict
+    while True:
+        # play down the line to its end or its next Restrict
         if st.finished:
-            return 0
-        if remaining <= 0:
-            return 1  # saturate: one more round than allowed
-        states += 1
-        action, strat = strat.next_action(st)
-        if action.kind == DELETE:
-            ns = apply_delete(st)
-            return 1 + go(strat.observe(action, None, ns), ns, remaining - 1)
-        worst = 0
-        for iv, kept in legal_replies(st, action.layering):
-            ns = _restricted(st, kept)
-            worst = max(worst, 1 + go(strat.observe(action, iv, ns), ns, remaining - 1))
-            if worst > remaining:
-                break
-        return worst
-
-    val = go(strategy, state, cap)
+            val = run
+        elif remaining <= 0:
+            val = run + 1  # saturate: one more round than allowed
+        else:
+            states += 1
+            action, strat = strat.next_action(st)
+            if action.kind == DELETE:
+                ns = apply_delete(st)
+                strat, st, remaining, run = strat.observe(action, None, ns), ns, remaining - 1, run + 1
+                continue
+            stack.append([strat, st, action, iter(legal_replies(st, action.layering)), 0, remaining, run])
+            val = None
+        # back up to the deepest Restrict with a reply left to try
+        reply = None
+        while stack and reply is None:
+            frame = stack[-1]
+            if val is not None:
+                frame[4] = max(frame[4], 1 + val)
+            strat, st, action, replies, worst, remaining, run = frame
+            reply = next(replies, None) if worst <= remaining else None
+            if reply is None:
+                stack.pop()
+                val = run + worst
+        if reply is None:
+            break
+        iv, kept = reply
+        ns = _restricted(st, kept)
+        strat, st, remaining, run = strat.observe(action, iv, ns), ns, remaining - 1, 0
     if stats is not None:
         stats["states"] = states
     return min(val, cap + 1)

@@ -11,11 +11,15 @@ A move that changes memory starts from a shallow copy, self.fork(), and
 rebinds attributes of the copy only; a move that changes nothing
 returns self.  Graphs, sequences, partitions and layerings are never
 mutated, so a copy shares all of them.  A composite advances a
-sub-strategy by rebinding the successor it returns.  state_id() numbers
-a strategy's memory within a StateIds table (equal numbers exactly for
-equal memory) and caches the number, which stays valid because an
-object's memory is fixed once a move returns it; the solvers' position
-table keys on it.
+sub-strategy by rebinding the successor it returns.  A composite whose
+whole remaining game is one sub-strategy on the real game hands over
+instead of wrapping it: the move returns the sub-strategy's move and
+successor.  So a chordal strategy becomes its chain once it knows the
+levels, and a chain becomes its leaf once its top base is gone.
+state_id() numbers a strategy's memory within a StateIds table (equal
+numbers exactly for equal memory) and caches the number, which stays
+valid because an object's memory is fixed once a move returns it; the
+solvers' position table keys on it.
 
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
@@ -316,7 +320,9 @@ class ChordalStrategy(DestroyerStrategy):
     """For chordal ordered graphs of left-degree <= d: isolate one
     component, restrict to few levels of a breadth-first layering, then
     peel the surviving levels as a chain of clique-sums over pieces of
-    left-degree <= d-1."""
+    left-degree <= d-1.  The chain is the successor: once the levels are
+    known, the move that builds it returns the chain itself, not a
+    chordal strategy around it."""
 
     def __init__(self, d):
         if d < 1:
@@ -326,35 +332,25 @@ class ChordalStrategy(DestroyerStrategy):
         self.phase = "spread"
         self.bfs_lam = None
         self.bfs_key = None  # bfs_lam as a frozenset of items, for state()
-        self.delegate = None
         self.checked = False
 
     def config(self):
         return (self.d, self.descriptor)
 
     def state(self, ids):
-        return (self.phase, self.checked, self.bfs_key, _sub_id(self.delegate, ids))
+        return (self.phase, self.checked, self.bfs_key)
 
     def next_action(self, state):
-        if self.delegate is not None:
-            a, delegate = self.delegate.next_action(state)
-            return a, self._rebind("delegate", delegate)
         g = state.graph
-        s = self.fork()
         if not self.checked:
             ok, ld = check_chordal_ordering(g)
             if not ok:
                 raise StrategyError("ordering is not chordal")
             if ld > self.d:
                 raise StrategyError("left-degree %d exceeds %d" % (ld, self.d))
-            s.checked = True
-        if self.phase == "spread":
-            if g.is_connected():
-                # the spread Restrict could not separate anything
-                s.phase = "bfs"
-            else:
-                lam = spread_componentwise_layering(g, state.rseq.head)
-                return Action.restrict(lam), s
+        if self.phase == "spread" and not g.is_connected():
+            lam = spread_componentwise_layering(g, state.rseq.head)
+            return Action.restrict(lam), self._rebind("checked", True)
         # one component remains, so g is connected
         lam = bfs_layering(g, g.smallest())
         span = max(lam.values()) - min(lam.values()) + 1
@@ -364,19 +360,18 @@ class ChordalStrategy(DestroyerStrategy):
             fits = True
         if fits:
             # every level already fits one window, peel them directly
-            a, s.delegate = _make_chain(lam, self.d).next_action(state)
-            return a, s
+            return _make_chain(lam, self.d).next_action(state)
+        s = self.fork()
+        s.checked = True
+        s.phase = "bfs"
         s.bfs_lam = lam
         s.bfs_key = frozenset(lam.items())
         return Action.restrict(lam), s
 
     def observe(self, action, reply, new_state):
-        if self.delegate is not None:
-            return self._rebind("delegate", self.delegate.observe(action, reply, new_state))
         if self.phase == "spread":
             return self._rebind("phase", "bfs")
-        lam = {v: self.bfs_lam[v] for v in new_state.graph.vertices}
-        return self._rebind("delegate", _make_chain(lam, self.d))
+        return _make_chain({v: self.bfs_lam[v] for v in new_state.graph.vertices}, self.d)
 
 
 class CliqueSumStrategy(DestroyerStrategy):
@@ -386,9 +381,12 @@ class CliqueSumStrategy(DestroyerStrategy):
     base those of rank < i: it alternates a componentwise Restrict with
     one simulated move of frame i - 1 on its base, and once the base is
     gone a fresh leaf_factory() strategy plays for it.  Frame 0 has no
-    base; bottom is its leaf.  All strategies here read the sequence from
-    the state, so no alignment padding is needed before a handover.
-    descriptor is the top frame's CliqueSumD.
+    base; bottom is its leaf.  Once the top frame's base is gone, the
+    leaf's game is the whole game: the move is a fresh leaf's, and that
+    leaf is the successor, so the top frame never holds a leaf.  All
+    strategies here read the sequence from the state, so no alignment
+    padding is needed before a handover.  descriptor is the top frame's
+    CliqueSumD.
 
     A frame is a tuple (live, sim_rseq, j, phase, pending, leaf,
     exhausted): the vertex set it last saw a move on, its simulation's
@@ -465,7 +463,13 @@ class CliqueSumStrategy(DestroyerStrategy):
 
     def next_action(self, state):
         g, top = state.graph, len(self.layers)
-        frames, connected, a = list(self.frames), None, None
+        if not self.frames[top][6]:  # the top frame is not exhausted
+            low, connected = self._sweep(g)
+            if low >= top:
+                # the top frame's base is gone: a fresh leaf plays the
+                # rest of the game, and is the successor
+                return self.leaf_factory().next_action(state)
+        frames, a = list(self.frames), None
         rseq, rnd = state.rseq, state.round  # what frame i reads
         try:
             for i in range(top, -1, -1):  # down to the frame that acts
@@ -479,8 +483,6 @@ class CliqueSumStrategy(DestroyerStrategy):
                 if sim is None:
                     sim = rseq.paired()
                     frames[i] = (live, sim, j, phase, pending, leaf, exhausted)
-                if connected is None:
-                    low, connected = self._sweep(g)
                 if low >= i:
                     break  # the base is gone: a fresh leaf plays
                 if phase == "spread" and not connected[i]:
@@ -496,8 +498,6 @@ class CliqueSumStrategy(DestroyerStrategy):
         except SequenceError:
             # the windows grew past anything computable: the frame that
             # met them deletes from now on (mimic if it was simulating)
-            if catch > top:
-                raise
             frames[:catch] = self.frames[:catch]
             live, sim, j, phase, pending, leaf, _ = frames[catch]
             frames[catch] = (live, sim, j, "mimic" if catch > i else phase, pending, leaf, True)
@@ -534,15 +534,11 @@ class CliqueSumStrategy(DestroyerStrategy):
         if leaf is not None:
             # the leaf observes; a sequence error there exhausts the frame
             # above
-            if i < top:
-                sim, j = frames[i + 1][1:3]
-                new_state = GameState(self._graph(g, i), sim.tail(j), j)
+            sim, j = frames[i + 1][1:3]
             try:
-                leaf = leaf.observe(action, reply, new_state)
+                leaf = leaf.observe(action, reply, GameState(self._graph(g, i), sim.tail(j), j))
                 frames[i] = frames[i][:5] + (leaf, exhausted)
             except SequenceError:
-                if i == top:
-                    raise
                 frames[i + 1] = frames[i + 1][:6] + (True,)
         s = self.fork()
         s.frames = tuple(frames)

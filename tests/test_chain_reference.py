@@ -56,8 +56,8 @@ from bakergame.strategies import (
 
 class NestedCliqueSum(DestroyerStrategy):
     """One clique-sum level: alternate a componentwise Restrict with one
-    simulated move of inner on the base, and hand over to a fresh
-    leaf_factory() strategy once the base is gone."""
+    simulated move of inner on the base; once the base is gone, a fresh
+    leaf_factory() strategy moves and is the successor."""
 
     def __init__(self, base, inner, leaf_factory, descriptor):
         self.base = frozenset(base)
@@ -68,7 +68,6 @@ class NestedCliqueSum(DestroyerStrategy):
         self.j = 0
         self.phase = "spread"
         self.pending = None
-        self.leaf = None
         self.exhausted = False
 
     def config(self):
@@ -83,23 +82,18 @@ class NestedCliqueSum(DestroyerStrategy):
             _pending_key(self.pending),
             self.exhausted,
             _sub_id(self.inner, ids),
-            _sub_id(self.leaf, ids),
         )
 
     def next_action(self, state):
         if self.exhausted:
             return Action.delete(), self
-        if self.leaf is not None:
-            a, leaf = self.leaf.next_action(state)
-            return a, self._rebind("leaf", leaf)
-        s = self.fork()
-        if self.sim_rseq is None:
-            s.sim_rseq = state.rseq.paired()
         g = state.graph
         bp = self.base & g.vertex_set
         if not bp:
-            a, s.leaf = self.leaf_factory().next_action(state)
-            return a, s
+            return self.leaf_factory().next_action(state)
+        s = self.fork()
+        if self.sim_rseq is None:
+            s.sim_rseq = state.rseq.paired()
         try:
             if self.phase == "spread":
                 if g.is_connected():
@@ -132,8 +126,6 @@ class NestedCliqueSum(DestroyerStrategy):
     def observe(self, action, reply, new_state):
         if self.exhausted:
             return self
-        if self.leaf is not None:
-            return self._rebind("leaf", self.leaf.observe(action, reply, new_state))
         s = self.fork()
         tag, inner_action = self.pending if self.pending else (None, None)
         s.pending = None

@@ -7,6 +7,7 @@ import time
 import pytest
 
 import bakergame
+from bakergame import ptas
 
 from bakergame.game import (
     DELETE,
@@ -25,9 +26,11 @@ from bakergame.strategies import (
     ChainD,
     ChordalD,
     ChordalStrategy,
+    CliqueSumStrategy,
     DestroyerStrategy,
     DistortionStrategy,
     EdgelessD,
+    EdgelessStrategy,
     MinorFreeD,
     MinorWitness,
     StrategyError,
@@ -89,16 +92,42 @@ print(t.outcome, t.rounds <= round_bound(strat.descriptor, ConstSeq(n)), sys.get
 """
 
 
-def test_deep_chain_needs_no_deep_recursion():
-    # a path of 1050 vertices fits one window, so chordal:1 peels it as
-    # a chain of 1049 clique-sums; each move walks the chain in a loop
+def _run_under_default_limit(script):
+    """stdout words of script run in a fresh interpreter, which keeps
+    Python's default recursion limit."""
     src = os.path.dirname(os.path.dirname(bakergame.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", _DEEP_PATH], env=env, capture_output=True, text=True, timeout=600
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["win", "True", "1000"]
+    return proc.stdout.split()
+
+
+def test_deep_chain_needs_no_deep_recursion():
+    # a path of 1050 vertices fits one window, so chordal:1 peels it as
+    # a chain of 1049 clique-sums; each move walks the chain in a loop
+    assert _run_under_default_limit(_DEEP_PATH) == ["win", "True", "1000"]
+
+
+_DEEP_MINIMAX = """
+from bakergame.game import GameState, minimax_rounds
+from bakergame.graph import OrderedGraph
+from bakergame.sequences import ConstSeq
+from bakergame.strategies import build_strategy, round_bound
+import sys
+n = 1100
+g = OrderedGraph(range(n), [(i, i + 1) for i in range(n - 1)])
+_, strat, _ = build_strategy("chordal:1", g)
+v = minimax_rounds(strat, GameState(g, ConstSeq(n)), 5000)
+print(v <= round_bound(strat.descriptor, ConstSeq(n)), sys.getrecursionlimit())
+"""
+
+
+def test_deep_minimax_needs_no_deep_recursion():
+    # the same kind of chain, 1100 rounds deep: minimax walks the line of
+    # play on an explicit stack
+    assert _run_under_default_limit(_DEEP_MINIMAX) == ["True", "1000"]
 
 
 def test_minimax_meets_bounds():
@@ -247,15 +276,56 @@ def test_built_descriptor_matches_grammar():
 
 
 def test_chain_descriptor_is_whole():
-    # with every BFS level inside one window, a chordal strategy hands
-    # over to a chain of clique-sums, one level per leaf
+    # with every BFS level inside one window, a chordal strategy's move
+    # returns the chain of clique-sums itself, one level per leaf
     g = gen_ktree(9, 2, seed=1)
     _, strat = ChordalStrategy(2).next_action(GameState(g, ConstSeq(50)))
+    assert isinstance(strat, CliqueSumStrategy)
     levels = len(set(g.bfs_distances(g.smallest()).values()))
     assert levels > 1
     for c in (1, 2):
         want = round_bound(ChainD(1, levels), ConstSeq(c))
-        assert round_bound(strat.delegate.descriptor, ConstSeq(c)) == want
+        assert round_bound(strat.descriptor, ConstSeq(c)) == want
+
+
+def test_chain_hands_over_to_its_leaf():
+    # once nothing of the top frame's base is live, the chain's move is
+    # a fresh leaf's, and that leaf is the successor.  On trees the
+    # leaves are edgeless strategies.
+    preserver = parse_preserver("max")
+    for g in (path(8), gen_ktree(10, 1, seed=1), gen_ktree(12, 1, seed=2)):
+        strat, state, handovers = ChordalStrategy(1), GameState(g, ConstSeq(g.n)), 0
+        while not state.finished:
+            chain = strat if isinstance(strat, CliqueSumStrategy) else None
+            action, strat = strat.next_action(state)
+            if chain is not None and not state.graph.vertex_set & frozenset().union(*chain.layers):
+                handovers += 1
+                assert type(strat) is type(chain.leaf_factory()) is EdgelessStrategy
+            if action.kind == DELETE:
+                reply, new = None, apply_delete(state)
+            else:
+                reply = preserver.choose(state, action.layering, legal_replies(state, action.layering))
+                new = apply_restrict(state, action.layering, reply)
+            strat, state = strat.observe(action, reply, new), new
+        assert handovers == 1, g.n
+
+
+def test_hand_over_saves_strategy_copies(monkeypatch):
+    # a chain whose base is gone is replaced by its leaf, and a chordal
+    # strategy by its chain, instead of wrapping them: no level copies
+    # itself only to hold a changed sub-strategy
+    calls = [0]
+    fork = DestroyerStrategy.fork
+
+    def counted(self):
+        calls[0] += 1
+        return fork(self)
+
+    g2, st, _ = build_strategy("chordal:3", gen_ktree(8, 3, seed=4))
+    monkeypatch.setattr(DestroyerStrategy, "fork", counted)
+    sol = ptas.solve_mis(ptas.ISInstance.full(g2), st, 2, memo=True)
+    assert sol.feasible
+    assert calls[0] == 68
 
 
 def test_fork_independence():
