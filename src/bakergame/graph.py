@@ -33,15 +33,20 @@ class PartitionError(GraphError):
 
 
 class OrderedGraph:
-    """Immutable simple graph on integer vertices, ordered numerically."""
+    """Immutable simple graph on integer vertices, ordered numerically.
 
-    __slots__ = ("vertices", "adj", "annotations", "_vset", "_m", "_bits")
+    Besides vertex_bits, a graph caches its structural verdicts in _facts
+    (see _recall): they depend only on the graph and on objects that are
+    never mutated either."""
+
+    __slots__ = ("vertices", "adj", "annotations", "_vset", "_m", "_bits", "_facts")
 
     def __init__(self, vertices, edges=(), annotations=None, _adj=None):
         vs = tuple(sorted(set(vertices)))
         self.vertices = vs
         self._vset = frozenset(vs)
         self._bits = None
+        self._facts = None
         if _adj is not None:
             self.adj = _adj
         else:
@@ -73,10 +78,11 @@ class OrderedGraph:
         g._m = m
         g.annotations = annotations
         g._bits = bits
+        g._facts = None
         return g
 
     def __reduce__(self):
-        # the cached vertex_bits stay out of pickles
+        # the cached vertex_bits and verdicts stay out of pickles
         return (OrderedGraph._raw, (self.vertices, self._vset, self.adj, self._m, self.annotations))
 
     @property
@@ -416,12 +422,33 @@ def quotient(graph, parts):
     return OrderedGraph(range(len(parts)), edges)
 
 
+def _recall(graph, key, about):
+    """The verdict cached on graph under key, or None.  An entry keeps
+    the object it judges (about), so while it exists no other object can
+    take over that object's id; the entry counts only for that object."""
+    entry = graph._facts.get(key) if graph._facts else None
+    if entry is not None and entry[0] is about:
+        return entry[1]
+    return None
+
+
+def _remember(graph, key, about, verdict):
+    if graph._facts is None:
+        graph._facts = {}
+    graph._facts[key] = (about, verdict)
+    return verdict
+
+
 def check_chordal_ordering(graph):
     """Return (is_chordal, max_left_degree).
 
     Chordal here means: for every vertex, its smaller neighbors form a
-    clique.  max_left_degree is reported either way.
+    clique.  max_left_degree is reported either way.  The graph
+    remembers the answer.
     """
+    known = _recall(graph, "chordal", None)
+    if known is not None:
+        return known
     ok = True
     max_ld = 0
     for v in graph.vertices:
@@ -431,7 +458,7 @@ def check_chordal_ordering(graph):
             for b in left[i + 1 :]:
                 if not graph.has_edge(a, b):
                     ok = False
-    return ok, max_ld
+    return _remember(graph, "chordal", None, (ok, max_ld))
 
 
 def geodesic_partition_violation(graph, gp, d):
@@ -462,7 +489,13 @@ def geodesic_partition_violation(graph, gp, d):
 
 
 def check_geodesic_partition(graph, gp, d):
-    return geodesic_partition_violation(graph, gp, d) is None
+    """True iff gp is a width-d geodesic partition of graph.  The graph
+    remembers the verdict for this gp object and d."""
+    key = ("partition", id(gp), d)
+    known = _recall(graph, key, gp)
+    if known is None:
+        known = _remember(graph, key, gp, geodesic_partition_violation(graph, gp, d) is None)
+    return known
 
 
 @dataclass(frozen=True)
@@ -484,6 +517,11 @@ class Embedding:
 
 
 def validate_embedding(graph, emb):
+    """Return True, or raise GraphError if emb does not embed graph.  The
+    graph remembers a success for this emb object."""
+    key = ("embedding", id(emb))
+    if _recall(graph, key, emb):
+        return True
     if emb.dim < 1:
         raise GraphError("embedding dimension must be positive")
     if emb.beta <= 0:
@@ -506,4 +544,4 @@ def validate_embedding(graph, emb):
             raise GraphError(
                 "edge (%d,%d) stretched to %.4f > beta=%.4f" % (u, v, d, emb.beta)
             )
-    return True
+    return _remember(graph, key, emb, True)

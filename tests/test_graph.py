@@ -1,4 +1,6 @@
 import ast
+import copy
+import pickle
 import random
 import re
 from functools import partial
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bakergame import graph as graph_module
 from bakergame.graph import (
     Embedding,
     GeodesicPartition,
@@ -26,8 +29,15 @@ from bakergame.graph import (
     spread_componentwise_layering,
     validate_embedding,
 )
-from bakergame.generators import gen_grid, gen_ktree
-from bakergame.strategies import MinorWitness, chordal_geodesic_partition
+from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
+from bakergame.ptas import StateIds
+from bakergame.strategies import (
+    ChordalStrategy,
+    MinorWitness,
+    QuotientStrategy,
+    build_strategy,
+    chordal_geodesic_partition,
+)
 
 
 def path(n):
@@ -378,3 +388,48 @@ def test_embedding_validation_and_layering():
     bad = Embedding(2, 1, {0: (0.0, 0.0), 1: (0.0, 0.5), 2: (1.0, 0.0), 3: (1.0, 1.0)})
     with pytest.raises(GraphError):
         validate_embedding(g, bad)  # vertices 0 and 1 too close
+
+
+def _count_partition_scans(monkeypatch):
+    scans = []
+    scan = graph_module.geodesic_partition_violation
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(graph_module, "geodesic_partition_violation", counted)
+    return scans
+
+
+def test_remembered_verdicts_stay_out_of_pickles_and_config_keys():
+    g2, strat, _ = build_strategy("minorfree:5", gen_grid(4, 4))
+    gp, h = strat.gp, strat.gp.quotient_graph
+    strat.state_id(StateIds())
+    before = (pickle.dumps(g2), pickle.dumps(h), strat._config_key)
+    g2.vertex_bits()
+    assert check_chordal_ordering(h) == (True, 3)
+    assert check_geodesic_partition(g2, gp, strat.d)
+    assert g2._facts and h._facts
+    later = QuotientStrategy(ChordalStrategy(strat.d), gp, strat.descriptor)
+    later.state_id(StateIds())
+    assert (pickle.dumps(g2), pickle.dumps(h), later._config_key) == before
+    clone = pickle.loads(pickle.dumps(g2))
+    assert clone == g2 and clone._facts is None
+
+
+def test_verdicts_are_remembered_per_graph_partition_and_width(monkeypatch):
+    res = chordal_geodesic_partition(gen_grid(4, 4), 5)
+    g, gp = res.graph, res.gp
+    scans = _count_partition_scans(monkeypatch)
+    assert check_geodesic_partition(g, gp, 3)
+    assert check_geodesic_partition(g, gp, 3)
+    assert len(scans) == 1
+    # an equal but distinct graph, a copied partition and another width
+    # are each judged on their own
+    assert check_geodesic_partition(OrderedGraph(g.vertices, g.edge_list()), gp, 3)
+    assert check_geodesic_partition(g, copy.copy(gp), 3)
+    assert not check_geodesic_partition(g, gp, 0)
+    assert not check_geodesic_partition(g, gp, 0)
+    assert len(scans) == 4
+    assert check_chordal_ordering(gp.quotient_graph) is check_chordal_ordering(gp.quotient_graph)

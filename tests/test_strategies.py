@@ -20,7 +20,16 @@ from bakergame.game import (
     play,
 )
 from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
-from bakergame.graph import OrderedGraph, check_chordal_ordering, check_geodesic_partition
+from bakergame.graph import (
+    Embedding,
+    GeodesicPartition,
+    GraphError,
+    OrderedGraph,
+    check_chordal_ordering,
+    check_geodesic_partition,
+    quotient,
+    validate_embedding,
+)
 from bakergame.sequences import ConstSeq, ScheduleSeq, SequenceError
 from bakergame.strategies import (
     ChainD,
@@ -33,6 +42,7 @@ from bakergame.strategies import (
     EdgelessStrategy,
     MinorFreeD,
     MinorWitness,
+    QuotientStrategy,
     StrategyError,
     build_strategy,
     chordal_geodesic_partition,
@@ -144,6 +154,46 @@ def test_minimax_meets_bounds():
         assert minimax_rounds(strat, GameState(g2, ConstSeq(c))) <= bound
 
 
+def _count_partition_scans(monkeypatch):
+    scans = []
+    scan = bakergame.graph.geodesic_partition_violation
+
+    def counted(*args):
+        scans.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(bakergame.graph, "geodesic_partition_violation", counted)
+    return scans
+
+
+def test_partition_is_scanned_once_per_pair(monkeypatch):
+    # every fresh quotient strategy checks its partition, and the graph
+    # remembers the verdict: minimax at c = 1 and c = 2 scans it once
+    scans = _count_partition_scans(monkeypatch)
+    g2, strat, _ = build_strategy("minorfree:5", gen_grid(3, 3))
+    got = []
+    for c in (1, 2):
+        stats = {}
+        got.append((minimax_rounds(strat, GameState(g2, ConstSeq(c)), stats=stats), stats))
+    assert got == [(7, {"states": 11}), (10, {"states": 20})]
+    assert len(scans) == 1
+
+
+def test_bad_partition_stays_invalid(monkeypatch):
+    # vertex 4 joins the ends of part {0, 1, 2, 3}, so d(0, 3) = 2 < 3
+    g = OrderedGraph(range(5), [(0, 1), (1, 2), (2, 3), (0, 4), (3, 4)])
+    parts = (frozenset(range(4)), frozenset({4}))
+    gp = GeodesicPartition(parts, ({v: v for v in range(4)}, {4: 0}), quotient(g, parts))
+    strat = QuotientStrategy(ChordalStrategy(2), gp, parse_descriptor("quotient(chordal:2,2)"))
+    scans = _count_partition_scans(monkeypatch)
+    for _ in range(3):
+        t = play(strat, parse_preserver("max"), GameState(g, ConstSeq(1)))
+        assert t.outcome == "invalid"
+        assert "not a width-2 geodesic partition" in t.diagnostic
+    assert len(scans) == 1
+    assert scans[0][0] is g and "not geodesic" in bakergame.graph.geodesic_partition_violation(*scans[0])
+
+
 def test_chordal_rejects_wrong_graph():
     c4 = OrderedGraph(range(4), [(0, 1), (1, 2), (2, 3), (0, 3)])
     strat = ChordalStrategy(2)
@@ -215,11 +265,35 @@ def test_distortion_strategy_on_unit_grid():
 
 def test_distortion_rejects_wrong_embedding():
     g = complete(4)  # K4 cannot sit at unit spacing in this square
-    from bakergame.graph import Embedding
-
     emb = Embedding(2, 1, {0: (0.0, 0.0), 1: (0.0, 2.0), 2: (2.0, 0.0), 3: (2.0, 2.0)})
     t = play(DistortionStrategy(emb), parse_preserver("max"), GameState(g, ConstSeq(1)))
     assert t.outcome == "invalid"
+
+
+def test_embedding_success_is_remembered(monkeypatch):
+    # a graph remembers that an embedding object fits it, but never that
+    # one does not: a bad embedding raises on every check
+    g, emb = gen_diag_grid(2)
+    scans = [0]
+    edge_list = OrderedGraph.edge_list
+
+    def counted(self):
+        scans[0] += 1
+        return edge_list(self)
+
+    monkeypatch.setattr(OrderedGraph, "edge_list", counted)
+    for c in (1, 2):
+        t = play(DistortionStrategy(emb), parse_preserver("max"), GameState(g, ConstSeq(c)))
+        assert t.outcome == "win"
+    assert validate_embedding(g, emb)
+    assert scans[0] == 1
+    squeezed = Embedding(emb.dim, emb.beta / 2, emb.coords)  # diagonal edges stretch
+    for _ in range(2):
+        with pytest.raises(GraphError, match="stretched"):
+            validate_embedding(g, squeezed)
+        t = play(DistortionStrategy(squeezed), parse_preserver("max"), GameState(g, ConstSeq(1)))
+        assert t.outcome == "invalid" and "stretched" in t.diagnostic
+    assert scans[0] == 1 + 2 * 2  # each bad check, direct or in play, scans again
 
 
 def test_parse_descriptor():
