@@ -387,7 +387,11 @@ def extend_geodesic_layering(graph, part, lam):
 
 @dataclass(frozen=True)
 class GeodesicPartition:
-    """Ordered partition with a stored layering per part and the quotient."""
+    """Ordered partition with a stored layering per part and the quotient.
+
+    A graph remembers its check_geodesic_partition verdict per partition
+    object, so part_layerings must not be changed once a graph has
+    checked the partition."""
 
     parts: tuple  # tuple of frozensets, respecting the vertex order
     part_layerings: tuple  # tuple of dicts, one per part
@@ -517,11 +521,6 @@ class Embedding:
 
 
 def validate_embedding(graph, emb):
-    """Return True, or raise GraphError if emb does not embed graph.  The
-    graph remembers a success for this emb object."""
-    key = ("embedding", id(emb))
-    if _recall(graph, key, emb):
-        return True
     if emb.dim < 1:
         raise GraphError("embedding dimension must be positive")
     if emb.beta <= 0:
@@ -544,4 +543,4 @@ def validate_embedding(graph, emb):
             raise GraphError(
                 "edge (%d,%d) stretched to %.4f > beta=%.4f" % (u, v, d, emb.beta)
             )
-    return _remember(graph, key, emb, True)
+    return True

@@ -29,7 +29,7 @@ from bakergame.graph import (
     spread_componentwise_layering,
     validate_embedding,
 )
-from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
+from bakergame.generators import gen_grid, gen_ktree
 from bakergame.ptas import StateIds
 from bakergame.strategies import (
     ChordalStrategy,

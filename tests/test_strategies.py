@@ -23,12 +23,10 @@ from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
 from bakergame.graph import (
     Embedding,
     GeodesicPartition,
-    GraphError,
     OrderedGraph,
     check_chordal_ordering,
     check_geodesic_partition,
     quotient,
-    validate_embedding,
 )
 from bakergame.sequences import ConstSeq, ScheduleSeq, SequenceError
 from bakergame.strategies import (
@@ -268,32 +266,6 @@ def test_distortion_rejects_wrong_embedding():
     emb = Embedding(2, 1, {0: (0.0, 0.0), 1: (0.0, 2.0), 2: (2.0, 0.0), 3: (2.0, 2.0)})
     t = play(DistortionStrategy(emb), parse_preserver("max"), GameState(g, ConstSeq(1)))
     assert t.outcome == "invalid"
-
-
-def test_embedding_success_is_remembered(monkeypatch):
-    # a graph remembers that an embedding object fits it, but never that
-    # one does not: a bad embedding raises on every check
-    g, emb = gen_diag_grid(2)
-    scans = [0]
-    edge_list = OrderedGraph.edge_list
-
-    def counted(self):
-        scans[0] += 1
-        return edge_list(self)
-
-    monkeypatch.setattr(OrderedGraph, "edge_list", counted)
-    for c in (1, 2):
-        t = play(DistortionStrategy(emb), parse_preserver("max"), GameState(g, ConstSeq(c)))
-        assert t.outcome == "win"
-    assert validate_embedding(g, emb)
-    assert scans[0] == 1
-    squeezed = Embedding(emb.dim, emb.beta / 2, emb.coords)  # diagonal edges stretch
-    for _ in range(2):
-        with pytest.raises(GraphError, match="stretched"):
-            validate_embedding(g, squeezed)
-        t = play(DistortionStrategy(squeezed), parse_preserver("max"), GameState(g, ConstSeq(1)))
-        assert t.outcome == "invalid" and "stretched" in t.diagnostic
-    assert scans[0] == 1 + 2 * 2  # each bad check, direct or in play, scans again
 
 
 def test_parse_descriptor():
