@@ -85,10 +85,8 @@ def cmd_generate(args):
         g, emb = generators.gen_diag_grid(args.n)
         if args.embedding_out:
             _write_out(write_embedding(emb), args.embedding_out)
-    elif args.family == "ktree":
+    else:  # ktree; argparse choices admit no other family
         g = generators.gen_ktree(args.n, args.d, args.seed)
-    else:
-        raise ValueError("unknown family %r" % args.family)
     _write_out(write_graph(g), args.output)
     return EXIT_OK
 
@@ -114,7 +112,7 @@ def cmd_play(args):
         try:
             bound = round_bound(strategy.descriptor, rseq)
             str(bound)  # the report spells it in decimal, within Python's digit limit
-        except (SequenceError, ValueError):
+        except (SequenceError, OverflowError, ValueError):
             bound = None
         report["round_bound"] = bound
         if perm is not None:

@@ -13,6 +13,8 @@ Embedding files:
     c <v> <x1> ... <xdim>
 """
 
+import math
+
 from .graph import Embedding, OrderedGraph
 
 
@@ -31,7 +33,7 @@ def _content_lines(text):
 
 def parse_graph(text):
     n = m = None
-    edges = []
+    edges = set()
     annotations = {}
     for lineno, parts in _content_lines(text):
         kind = parts[0]
@@ -55,9 +57,10 @@ def parse_graph(text):
                 u, v = int(parts[1]), int(parts[2])
             except ValueError:
                 raise FormatError(lineno, "endpoints must be integers")
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise FormatError(lineno, "bad edge %d %d" % (u, v))
-            edges.append((u, v))
+            e = (min(u, v), max(u, v))
+            if not (0 <= u < n and 0 <= v < n) or u == v or e in edges:
+                raise FormatError(lineno, "bad or repeated edge %d %d" % (u, v))
+            edges.add(e)
         elif kind == "a":
             if n is None:
                 raise FormatError(lineno, "annotation before the problem line")
@@ -112,7 +115,7 @@ def parse_embedding(text):
                 n, dim, beta = int(parts[2]), int(parts[3]), float(parts[4])
             except ValueError:
                 raise FormatError(lineno, "bad problem line values")
-            if n < 0 or dim < 1 or beta <= 0:
+            if n < 0 or dim < 1 or not 0 < beta < math.inf:
                 raise FormatError(lineno, "bad problem line values")
         elif kind == "c":
             if n is None:
@@ -124,6 +127,8 @@ def parse_embedding(text):
                 xs = tuple(float(x) for x in parts[2:])
             except ValueError:
                 raise FormatError(lineno, "coordinates must be numbers")
+            if not all(map(math.isfinite, xs)):
+                raise FormatError(lineno, "coordinates must be finite")
             if not 0 <= v < n:
                 raise FormatError(lineno, "vertex %d out of range" % v)
             if v in coords:

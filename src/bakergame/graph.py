@@ -6,6 +6,7 @@ induced subgraphs keep the original ids so that transcripts and
 solutions can always be traced back to the input.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -168,13 +169,7 @@ class OrderedGraph:
         )
 
     def with_annotations(self, annotations):
-        g = OrderedGraph(self.vertices, _adj=self.adj)
-        for name, s in annotations.items():
-            s = frozenset(s)
-            if not s <= self._vset:
-                raise GraphError("annotation %r contains unknown vertices" % name)
-            g.annotations[name] = s
-        return g
+        return OrderedGraph(self.vertices, annotations=annotations, _adj=self.adj)
 
     def bfs_distances(self, source):
         if source not in self._vset:
@@ -222,12 +217,11 @@ class OrderedGraph:
 
 
 def is_valid_layering(graph, lam):
-    """True iff lam labels every vertex and edge labels differ by at most 1."""
-    if set(lam) < graph.vertex_set or graph.vertex_set - set(lam):
+    """True iff require_layering accepts lam."""
+    try:
+        require_layering(graph, lam)
+    except NotALayeringError:
         return False
-    for u, v in graph.edge_list():
-        if abs(lam[u] - lam[v]) > 1:
-            return False
     return True
 
 
@@ -512,8 +506,6 @@ class Embedding:
     coords: dict  # vertex -> tuple of floats
 
     def coordinate_layering(self, graph, axis):
-        import math
-
         lam = {}
         for v in graph.vertices:
             lam[v] = math.floor(self.coords[v][axis] / self.beta)
@@ -523,11 +515,12 @@ class Embedding:
 def validate_embedding(graph, emb):
     if emb.dim < 1:
         raise GraphError("embedding dimension must be positive")
-    if emb.beta <= 0:
-        raise GraphError("embedding beta must be positive")
+    if not 0 < emb.beta < math.inf:
+        raise GraphError("embedding beta must be positive and finite")
     for v in graph.vertices:
-        if v not in emb.coords or len(emb.coords[v]) != emb.dim:
-            raise GraphError("embedding misses vertex %d" % v)
+        xs = emb.coords.get(v, ())
+        if len(xs) != emb.dim or not all(map(math.isfinite, xs)):
+            raise GraphError("embedding has no finite position for vertex %d" % v)
     vs = graph.vertices
     for i, u in enumerate(vs):
         cu = emb.coords[u]

@@ -88,8 +88,8 @@ class GeomSeq(RSequence):
     """Ceil of a * b**i."""
 
     def __init__(self, a, b):
-        if a <= 0 or b <= 0:
-            raise SequenceError("geometric sequence needs positive a, b")
+        if not (0 < a < math.inf and 0 < b < math.inf):
+            raise SequenceError("geometric sequence needs positive finite a, b")
         self.a = a
         self.b = b
 

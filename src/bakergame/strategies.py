@@ -137,11 +137,6 @@ def _pending_key(pending):
 
 
 @dataclass(frozen=True)
-class EdgelessD:
-    pass
-
-
-@dataclass(frozen=True)
 class ChordalD:
     d: int
 
@@ -186,34 +181,30 @@ class MinorFreeD:
         return self.k - 2
 
 
-def _sat(v, cap):
-    return v if cap is None else min(v, cap + 1)
-
-
-def _glue(t1, leaf, r, cap):
+def _glue(t1, leaf, r):
     """Rounds of a clique-sum whose base wins within t1 rounds of r
     paired, and whose leaf then plays on the rest of r."""
-    if cap is not None and t1 > cap:
-        return cap + 1
-    return _sat(2 * t1 + _rb(leaf, r.tail(2 * t1 + 1), cap) + 1, cap)
+    return 2 * t1 + round_bound(leaf, r.tail(2 * t1 + 1)) + 1
 
 
-def _rb(desc, r, cap):
-    if isinstance(desc, EdgelessD):
-        return 2
+def round_bound(desc, r):
+    """Rounds within which the described strategy wins, at worst, on
+    sequence r.
+
+    An unbounded case, one that would read r past INDEX_LIMIT, raises
+    SequenceError; a distortion bound past the float range raises
+    OverflowError.
+    """
     if isinstance(desc, ChordalD):
         if desc.d <= 0:
             return 2
-        k = r.at(2)
-        if cap is not None and k > cap:
-            return cap + 1
-        return _sat(_rb(ChainD(desc.d - 1, k), r.tail(2), cap) + 2, cap)
+        return round_bound(ChainD(desc.d - 1, r.at(2)), r.tail(2)) + 2
     if isinstance(desc, ChainD):
         if desc.k > INDEX_LIMIT:
             raise SequenceError("chain longer than the evaluation limit %d" % INDEX_LIMIT)
         if desc.d <= 0:
             # edgeless levels: t_1 = 2 and t_i = 2 * t_{i-1} + 2 + 1
-            return _sat(5 * 2 ** (desc.k - 1) - 3, cap)
+            return 5 * 2 ** (desc.k - 1) - 3
         # level i of k glues ChordalD(d) on r paired k - i times over the
         # levels below: build those sequences top-down, fold bottom-up
         seqs = [r]
@@ -223,42 +214,23 @@ def _rb(desc, r, cap):
             # read at index 2 ** k or later by the bottom level
             if seqs[-1] is not r and 2 ** len(seqs) > INDEX_LIMIT:
                 raise SequenceError("chain indexes past the evaluation limit %d" % INDEX_LIMIT)
-        t = _rb(ChordalD(desc.d), seqs.pop(), cap)
+        t = round_bound(ChordalD(desc.d), seqs.pop())
         while seqs:
-            t = _glue(t, ChordalD(desc.d), seqs.pop(), cap)
+            t = _glue(t, ChordalD(desc.d), seqs.pop())
         return t
     if isinstance(desc, CliqueSumD):
-        return _glue(_rb(desc.base, r.paired(), cap), desc.leaf, r, cap)
+        return _glue(round_bound(desc.base, r.paired()), desc.leaf, r)
     if isinstance(desc, QuotientD):
         th = ThinnedSeq(r, desc.d)
-        m = _rb(desc.inner, th, cap)
-        if cap is not None and m > cap:
-            return cap + 1
-        return _sat(th.index(m), cap)
+        return th.index(round_bound(desc.inner, th))
     if isinstance(desc, DistortionD):
         prod = 1
         for i in range(1, desc.dim + 1):
             prod *= desc.beta * r.at(i) + 1
         return desc.dim + math.floor(prod)
     if isinstance(desc, MinorFreeD):
-        return _rb(QuotientD(ChordalD(desc.d), desc.d), r, cap)
+        return round_bound(QuotientD(ChordalD(desc.d), desc.d), r)
     raise StrategyError("unknown descriptor %r" % (desc,))
-
-
-def round_bound(desc, rseq, cap=None):
-    """Rounds within which the described strategy wins, at worst.
-
-    A bound that would read a sequence past INDEX_LIMIT raises
-    SequenceError.  With cap given, any value above cap is reported as
-    cap + 1 and the computation short-circuits, which also keeps
-    sequence queries from diverging on fast-growing schedules.
-    """
-    try:
-        return _rb(desc, rseq, cap)
-    except (SequenceError, OverflowError):
-        if cap is None:
-            raise
-        return cap + 1
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +241,7 @@ class EdgelessStrategy(DestroyerStrategy):
     """Restrict once with labels spaced head apart (at most one vertex
     per reply window), then delete."""
 
-    descriptor = EdgelessD()
+    descriptor = ChordalD(0)
 
     def __init__(self):
         self.phase = "restrict"
@@ -793,6 +765,8 @@ def chordal_geodesic_partition(graph, k):
 # ---------------------------------------------------------------------------
 # descriptor text grammar and the strategy builder
 
+MAX_NESTING = 100  # keeps parse_descriptor's recursion far below Python's limit
+
 
 def _int_at_least(text, low, form):
     n = int(text)
@@ -807,16 +781,18 @@ def parse_descriptor(text, embedding=None):
         edgeless | chordal:<d> | minorfree:<k> | distortion
         | cliquesum(<a>,<b>) | quotient(<a>,<d>)
 
-    with d >= 0 in chordal, d >= 1 in quotient and k >= 3, the
-    smallest values a strategy can win with.  minorfree:<k> is valid
-    only as the whole descriptor, since its decomposition reorders the
-    graph; distortion reads its dimension and distortion from
-    embedding.  Malformed text raises StrategyError naming the text.
+    with d >= 0 in chordal, d >= 1 in quotient and k >= 3, the smallest
+    values a strategy can win with, and edgeless short for chordal:0.
+    minorfree:<k> is valid only as the whole descriptor, since it
+    reorders the graph; distortion reads its dimension and distortion
+    from embedding.  Text nested deeper than MAX_NESTING, like any
+    malformed text, raises StrategyError naming the text.
     """
-    t = text.strip()
-    try:
+
+    def parse(t):
+        t = t.strip()
         if t == "edgeless":
-            return EdgelessD()
+            return ChordalD(0)
         if t.startswith("chordal:"):
             return ChordalD(_int_at_least(t[len("chordal:") :], 0, "chordal:<d>"))
         if t.startswith("minorfree:"):
@@ -831,31 +807,35 @@ def parse_descriptor(text, embedding=None):
         else:
             raise StrategyError("not a known form")
         # split the arguments at the commas outside parentheses
-        args = [""]
+        body = t[len(head) : -1]
+        cuts = [-1]
         depth = 0
-        for ch in t[len(head) : -1]:
+        for i, ch in enumerate(body):
             if ch == "(":
                 depth += 1
+                if depth >= MAX_NESTING:  # the top level scans all text before recursing
+                    raise StrategyError("parentheses nest deeper than %d" % MAX_NESTING)
             elif ch == ")":
                 depth -= 1
                 if depth < 0:
                     break
-            if ch == "," and depth == 0:
-                args.append("")
-            else:
-                args[-1] += ch
+            elif ch == "," and depth == 0:
+                cuts.append(i)
         if depth != 0:
             raise StrategyError("unbalanced parentheses")
-        if len(args) != 2:
-            raise StrategyError("%s...) takes 2 arguments, got %d" % (head, len(args)))
-        a = parse_descriptor(args[0], embedding)
+        if len(cuts) != 2:
+            raise StrategyError("%s...) takes 2 arguments, got %d" % (head, len(cuts)))
+        a = parse(body[: cuts[1]])
         if head == "quotient(":
-            b = _int_at_least(args[1], 1, "quotient(<a>,<d>)")
+            b = _int_at_least(body[cuts[1] + 1 :], 1, "quotient(<a>,<d>)")
         else:
-            b = parse_descriptor(args[1], embedding)
+            b = parse(body[cuts[1] + 1 :])
         if MinorFreeD in (type(a), type(b)):
             raise StrategyError("minorfree:<k> is valid only as the whole descriptor")
         return QuotientD(a, b) if head == "quotient(" else CliqueSumD(a, b)
+
+    try:
+        return parse(text)
     except (StrategyError, ValueError) as exc:
         raise StrategyError("strategy descriptor %r: %s" % (text, exc)) from None
 
@@ -863,10 +843,8 @@ def parse_descriptor(text, embedding=None):
 def _build(desc, graph=None, embedding=None):
     """Strategy for any descriptor but MinorFreeD; cliquesum and
     quotient play on graph, distortion on embedding."""
-    if isinstance(desc, ChordalD) and desc.d > 0:
-        return ChordalStrategy(desc.d)
-    if isinstance(desc, (EdgelessD, ChordalD)):
-        return EdgelessStrategy()
+    if isinstance(desc, ChordalD):
+        return ChordalStrategy(desc.d) if desc.d > 0 else EdgelessStrategy()
     if isinstance(desc, DistortionD):
         return DistortionStrategy(embedding)
     if isinstance(desc, CliqueSumD):

@@ -45,12 +45,11 @@ from bakergame.strategies import (
     StrategyError,
     _build,
     _pending_key,
-    _rb,
-    _sat,
     _seq_key,
     _sub_id,
     build_strategy,
     parse_descriptor,
+    round_bound,
 )
 
 
@@ -362,16 +361,14 @@ def test_give_ups_like_the_nested_chain():
                 assert len(pairs) == len(set(ids_flat)) == len(set(ids_ref))
 
 
-def _rb_recursive(d, k, r, cap):
+def _rb_recursive(d, k, r):
     """The round bound of ChainD(d, k) as the recursion over k that the
-    loop in _rb replaced."""
+    loop in round_bound replaced."""
     if k <= 1:
-        return _rb(ChordalD(d), r, cap)
-    t1 = _rb_recursive(d, k - 1, r.paired(), cap)
-    if cap is not None and t1 > cap:
-        return cap + 1
-    t2 = _rb(ChordalD(d), r.tail(2 * t1 + 1), cap)
-    return _sat(2 * t1 + t2 + 1, cap)
+        return round_bound(ChordalD(d), r)
+    t1 = _rb_recursive(d, k - 1, r.paired())
+    t2 = round_bound(ChordalD(d), r.tail(2 * t1 + 1))
+    return 2 * t1 + t2 + 1
 
 
 @pytest.mark.parametrize("seq", [ConstSeq(1), ConstSeq(3), GeomSeq(1.0, 2.0), ScheduleSeq("mis", 2)])
@@ -384,8 +381,7 @@ def test_chain_bound_loop_matches_the_recursion(seq):
 
     for d in (0, 1, 2):
         for k in range(1, 61):
-            for cap in (None, 50):
-                want = outcome(_rb_recursive, d, k, seq, cap)
-                assert outcome(_rb, ChainD(d, k), seq, cap) == want, (d, k, cap)
+            want = outcome(_rb_recursive, d, k, seq)
+            assert outcome(round_bound, ChainD(d, k), seq) == want, (d, k)
     with pytest.raises(SequenceError):
-        _rb(ChainD(0, INDEX_LIMIT + 1), seq, None)
+        round_bound(ChainD(0, INDEX_LIMIT + 1), seq)

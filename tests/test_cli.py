@@ -125,6 +125,13 @@ def test_play_distortion_json(tmp_path, capsys):
     report = json.loads(out)
     assert report["outcome"] == "win"
     assert report["round_bound"] == 6  # dim + (beta * 1 + 1) ** dim
+    # beta * c leaves the float range: the report says null, no traceback
+    _, out = run(
+        capsys,
+        ["play", "--graph", str(g), "--strategy", "distortion", "--embedding", str(e),
+         "--rseq", "const:" + "9" * 400, "--json"],
+    )
+    assert json.loads(out)["round_bound"] is None
 
 
 def test_play_rejects_nested_minorfree(tmp_path, capsys):
@@ -142,6 +149,16 @@ def test_play_rejects_nested_minorfree(tmp_path, capsys):
             assert code == 1, (g.name, text)
             assert captured.out == ""
             assert captured.err.startswith("error:") and "minorfree" in captured.err
+
+
+def test_play_rejects_deeply_nested_descriptor(tmp_path, capsys):
+    grid = tmp_path / "grid.gr"
+    run(capsys, ["generate", "grid", "--rows", "2", "--cols", "2", "-o", str(grid)])
+    text = "cliquesum(" * 1000 + "edgeless" + ",edgeless)" * 1000
+    code = main(["play", "--graph", str(grid), "--strategy", text, "--rseq", "const:1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:") and "nest deeper" in captured.err
 
 
 def test_play_rejects_numbers_that_cannot_win(tmp_path, capsys):

@@ -99,6 +99,8 @@ def test_parse_graph_comments_and_blanks():
         ("p graph 2 1\ne 0 2\n", 2),  # endpoint out of range
         ("p graph 2 2\ne 0 1\n", 1),  # declared edge count wrong, reported at header
         ("p graph 2 1\ne 0\n", 2),  # malformed edge line
+        ("p graph 2 2\ne 0 1\ne 1 0\n", 3),  # repeated edge, other orientation
+        ("p graph 3 3\ne 0 1\ne 1 2\ne 0 1\n", 4),  # repeated edge, same orientation
     ],
 )
 def test_parse_graph_errors_carry_line_numbers(text, lineno):
@@ -121,3 +123,15 @@ def test_parse_embedding_errors():
     assert exc.value.lineno == 3
     with pytest.raises(FormatError):
         parse_embedding("p embed 2 1 1\nc 0 0.0\n")  # missing vertex 1
+
+
+@pytest.mark.parametrize(
+    "beta,x,lineno",
+    [("nan", "5", 1), ("inf", "5", 1), ("1", "nan", 3), ("1", "-inf", 3), ("1", "1e400", 3)],
+)
+def test_parse_embedding_rejects_non_finite_values(beta, x, lineno):
+    # every comparison with NaN is false, so only an explicit check
+    # keeps such a file from loading
+    with pytest.raises(FormatError) as exc:
+        parse_embedding("p embed 2 1 %s\nc 0 0\nc 1 %s\n" % (beta, x))
+    assert exc.value.lineno == lineno

@@ -1,5 +1,6 @@
 import ast
 import copy
+import math
 import pickle
 import random
 import re
@@ -388,6 +389,21 @@ def test_embedding_validation_and_layering():
     bad = Embedding(2, 1, {0: (0.0, 0.0), 1: (0.0, 0.5), 2: (1.0, 0.0), 3: (1.0, 1.0)})
     with pytest.raises(GraphError):
         validate_embedding(g, bad)  # vertices 0 and 1 too close
+
+
+@pytest.mark.parametrize(
+    "beta,x,edges",
+    [
+        (math.nan, 5.0, [(0, 1)]),
+        (math.inf, 5.0, [(0, 1)]),
+        (1.0, math.nan, [(0, 1)]),
+        (1.0, math.inf, []),
+    ],
+)
+def test_embedding_validation_rejects_non_finite_values(beta, x, edges):
+    g = OrderedGraph(range(2), edges)
+    with pytest.raises(GraphError, match="finite"):
+        validate_embedding(g, Embedding(1, beta, {0: (0.0,), 1: (x,)}))
 
 
 def _count_partition_scans(monkeypatch):

@@ -137,3 +137,11 @@ def test_parse_rseq():
     assert parse_rseq("schedule:mis:2").at(1) == 27
     with pytest.raises(SequenceError):
         parse_rseq("mystery:1")
+
+
+@pytest.mark.parametrize("a,b", [("nan", "2"), ("1", "nan"), ("inf", "2"), ("1", "inf")])
+def test_geom_rejects_non_finite_parameters(a, b):
+    with pytest.raises(SequenceError):
+        GeomSeq(float(a), float(b))
+    with pytest.raises(SequenceError):
+        parse_rseq("geom:%s,%s" % (a, b))

@@ -36,8 +36,8 @@ from bakergame.strategies import (
     CliqueSumStrategy,
     DestroyerStrategy,
     DistortionStrategy,
-    EdgelessD,
     EdgelessStrategy,
+    MAX_NESTING,
     MinorFreeD,
     MinorWitness,
     QuotientStrategy,
@@ -59,7 +59,7 @@ def complete(n):
 
 
 def test_round_bound_edgeless():
-    assert round_bound(EdgelessD(), ConstSeq(1)) == 2  # [PAPER] restrict + delete
+    assert round_bound(ChordalD(0), ConstSeq(1)) == 2  # [PAPER] restrict + delete
 
 
 def test_round_bound_chordal_frozen():
@@ -67,12 +67,6 @@ def test_round_bound_chordal_frozen():
     assert round_bound(ChordalD(1), ConstSeq(1)) == 4
     assert round_bound(ChordalD(1), ConstSeq(2)) == 9
     assert round_bound(ChordalD(2), ConstSeq(1)) == 6
-
-
-def test_round_bound_saturation():
-    desc = MinorFreeD(5)
-    cap = 50
-    assert round_bound(desc, ScheduleSeq("mis", 2), cap) == cap + 1
 
 
 def test_round_bound_refuses_huge_thinned_indices():
@@ -83,7 +77,6 @@ def test_round_bound_refuses_huge_thinned_indices():
     with pytest.raises(SequenceError):
         round_bound(MinorFreeD(3), ConstSeq(28))
     assert time.monotonic() - t0 < 1.0
-    assert round_bound(MinorFreeD(3), ConstSeq(28), cap=50) == 51
 
 
 _DEEP_PATH = """
@@ -269,7 +262,7 @@ def test_distortion_rejects_wrong_embedding():
 
 
 def test_parse_descriptor():
-    assert parse_descriptor("edgeless") == EdgelessD()
+    assert parse_descriptor("edgeless") == ChordalD(0)
     assert parse_descriptor("chordal:3") == ChordalD(3)
     nested = parse_descriptor("quotient(chordal:2,2)")
     assert nested.inner == ChordalD(2) and nested.d == 2
@@ -298,6 +291,21 @@ def test_parse_descriptor():
             parse_descriptor(text)
 
 
+def test_parse_descriptor_names_a_nested_error_once():
+    # the message names the whole text once, not once per level, and
+    # nesting past MAX_NESTING is refused before the recursive parse
+    cases = [
+        (MAX_NESTING, "invalid literal"),
+        (MAX_NESTING + 1, "deeper than %d" % MAX_NESTING),
+        (1000, "deeper than %d" % MAX_NESTING),
+    ]
+    for levels, reason in cases:
+        text = "cliquesum(" * levels + "chordal:x" + ",edgeless)" * levels
+        with pytest.raises(StrategyError, match=reason) as exc:
+            parse_descriptor(text)
+        assert len(str(exc.value)) < len(text) + 100, levels
+
+
 def test_built_descriptor_matches_grammar():
     edgeless = OrderedGraph(range(3), [])
     cases = [
@@ -314,6 +322,7 @@ def test_built_descriptor_matches_grammar():
     ]
     for text, g in cases:
         g2, strat, _ = build_strategy(text, g)
+        assert strat.descriptor == parse_descriptor(text), text
         for c in (1, 2):
             bound = round_bound(parse_descriptor(text), ConstSeq(c))
             assert round_bound(strat.descriptor, ConstSeq(c)) == bound, (text, c)
