@@ -247,7 +247,9 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
                 t.diagnostic = str(exc)
                 return t
             reply = preserver.choose(state, lam, replies)
-            new_state = apply_restrict(state, lam, reply)
+            # a canonical reply keeps a set legal_replies built after checking lam
+            kept = next((kept for iv, kept in replies if iv == reply), None)
+            new_state = apply_restrict(state, lam, reply) if kept is None else _restricted(state, kept)
         else:
             t.outcome = "invalid"
             t.diagnostic = "unknown action kind %r" % action.kind

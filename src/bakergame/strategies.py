@@ -314,6 +314,10 @@ class ChordalStrategy(DestroyerStrategy):
 
     def next_action(self, state):
         g = state.graph
+        if g.n == 1:
+            # chordal with left-degree 0: the move and successor that the
+            # d nested builds would reach
+            return EdgelessStrategy().next_action(state)
         if not self.checked:
             ok, ld = check_chordal_ordering(g)
             if not ok:
@@ -645,8 +649,11 @@ class DistortionStrategy(DestroyerStrategy):
         s.axis = self.axis + 1
         if s.axis == self.emb.dim:
             cap = 1
-            for h in self.heads:
-                cap *= self.emb.beta * h + 1
+            try:
+                for h in self.heads:
+                    cap *= self.emb.beta * h + 1
+            except OverflowError:
+                cap = math.inf  # past the float range: any finite graph meets it
             if new_state.graph.n > cap:
                 raise StrategyError(
                     "%d survivors exceed the %d guaranteed by the embedding"
@@ -689,6 +696,50 @@ class PartitionResult:
     gp: GeodesicPartition
 
 
+def _split_off(adj, comp, part):
+    """The components of comp - part, for connected comp and nonempty
+    part, as frozensets ordered by smallest member.
+
+    A search starts from each neighbour of part and the searches run in
+    lock step, one vertex each per turn; two that meet merge, the smaller
+    into the larger.  A search that runs dry has found a component.  Once
+    one search is left, its component is the rest of comp, so the
+    largest component is never walked."""
+    seeds = {w for v in part for w in adj[v] if w in comp and w not in part}
+    owner = {v: i for i, v in enumerate(seeds)}  # vertex -> its search
+    found = [([v], [v]) for v in seeds]  # per search: vertices to expand, members
+    running, done = dict.fromkeys(range(len(found))), []
+    while len(running) > 1:
+        for i in list(running):
+            if i not in running:
+                continue  # merged this turn
+            todo, members = found[i]
+            if not todo:
+                del running[i]
+                done.append(frozenset(members))
+                continue
+            for w in adj[todo.pop()]:
+                if w not in comp or w in part:
+                    continue
+                j = owner.get(w)
+                if j is None:
+                    owner[w] = i
+                    todo.append(w)
+                    members.append(w)
+                elif j != i:
+                    if len(members) > len(found[j][1]):
+                        i, j = j, i
+                    owner.update(dict.fromkeys(found[i][1], j))  # i merges into the larger j
+                    for mine, theirs in zip(found[j], found[i]):
+                        mine.extend(theirs)
+                    del running[i]
+                    i = j
+                    todo, members = found[i]
+    if running:
+        done.append(comp.difference(part, *done))
+    return sorted(done, key=min)
+
+
 def chordal_geodesic_partition(graph, k):
     """Build a width-(k-2) geodesic partition whose quotient is chordal
     with left-degree <= k-2, or return a MinorWitness showing K_k is a
@@ -698,47 +749,44 @@ def chordal_geodesic_partition(graph, k):
     parts.  The new part is the union of breadth-first tree paths from
     one shallowest contact per boundary part down to the root, so its
     depth layering has width at most max(k-2, 1).
+
+    A piece costs about the size of its new part and its smaller
+    children: contacts come from each boundary part's neighbours, the
+    search from the root stops at the first level that reaches every
+    boundary part, tree parents are found only along the paths, and
+    _split_off never walks the largest child.
     """
     if k < 3:
         raise GraphError("need k >= 3, got %d" % k)
     d = k - 2
+    adj = graph.adj
     part_sets = []
     part_depths = []
     queue = deque((comp, ()) for comp in graph.components())
     while queue:
         comp, boundary = queue.popleft()
-        if boundary:
-            last = part_sets[boundary[-1]]
-            cand = sorted(v for v in comp if graph.adj[v] & last)
-            root = cand[0]
-        else:
-            root = min(comp)
-        sub = graph.induced(comp)
-        depth = sub.bfs_distances(root)
-        parent = {}
-        for v in sorted(comp):
-            if v != root:
-                parent[v] = min(w for w in sub.adj[v] if depth[w] == depth[v] - 1)
+        # the vertices of comp adjacent to each boundary part
+        touch = [frozenset(w for u in part_sets[q] for w in adj[u] if w in comp) for q in boundary]
+        root = min(touch[-1]) if boundary else min(comp)
+        # breadth-first levels of comp, up to the first that leaves no
+        # boundary part without a contact
+        depth, level, dist, unmet = {root: 0}, [root], 0, touch
+        while unmet := [t for t in unmet if t.isdisjoint(level)]:
+            dist += 1
+            level = dict.fromkeys(w for v in level for w in adj[v] if w in comp and w not in depth)
+            depth.update(dict.fromkeys(level, dist))
         part = {root}
-        for q in boundary:
-            qset = part_sets[q]
-            x = min(
-                (v for v in comp if graph.adj[v] & qset),
-                key=lambda v: (depth[v], v),
-            )
-            while x != root:
+        for t in touch:
+            x = min((depth[v], v) for v in t if v in depth)[1]
+            while x not in part:  # up the tree paths, parent = smallest neighbour one level up
                 part.add(x)
-                x = parent[x]
+                x = min(w for w in adj[x] if depth.get(w) == depth[x] - 1)
         idx = len(part_sets)
         part_sets.append(frozenset(part))
         part_depths.append({v: depth[v] for v in part})
-        rest = sub.induced(comp - part)
-        for child in rest.components():
-            near = tuple(
-                q
-                for q in list(boundary) + [idx]
-                if any(graph.adj[v] & child for v in part_sets[q])
-            )
+        for child in _split_off(adj, comp, part_sets[idx]):
+            # every child touches the new part, comp being connected
+            near = tuple(q for q, t in zip(boundary, touch) if not t.isdisjoint(child)) + (idx,)
             if len(near) > d:
                 branch = tuple(part_sets[q] for q in near[: k - 1]) + (child,)
                 return MinorWitness(k, branch)

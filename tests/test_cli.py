@@ -134,6 +134,32 @@ def test_play_distortion_json(tmp_path, capsys):
     assert json.loads(out)["round_bound"] is None
 
 
+def test_play_distortion_wins_past_the_float_range(tmp_path, capsys):
+    # the embedding file gives beta as a float, so beta * head overflows;
+    # the survivor cap is then unbounded and the deletes finish the game
+    g = tmp_path / "g.gr"
+    e = tmp_path / "g.emb"
+    run(capsys, ["generate", "diaggrid", "--n", "2", "-o", str(g), "--embedding-out", str(e)])
+    argv = ["play", "--graph", str(g), "--strategy", "distortion", "--embedding", str(e),
+            "--rseq", "const:" + "9" * 400]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[-1] == "outcome win"
+    code, out = run(capsys, argv + ["--json"])
+    report = json.loads(out)
+    assert code == 0 and report["outcome"] == "win" and report["round_bound"] is None
+
+
+def test_play_deep_chordal_strategy_on_a_path(tmp_path, capsys):
+    # chordal:2000 meets a one-vertex piece after its first Restrict and
+    # plays the edgeless move there without nesting 2000 builds
+    p = tmp_path / "p.gr"
+    run(capsys, ["generate", "grid", "--rows", "1", "--cols", "3", "-o", str(p)])
+    code, out = run(capsys, ["play", "--graph", str(p), "--strategy", "chordal:2000", "--rseq", "const:1"])
+    assert code == 0
+    assert out.splitlines()[-1] == "outcome win"
+
+
 def test_play_rejects_nested_minorfree(tmp_path, capsys):
     k5 = tmp_path / "k5.gr"
     lines = ["p graph 5 10"] + [

@@ -201,3 +201,40 @@ def test_minimax_checks_each_layering_once(monkeypatch):
     monkeypatch.setattr(game, "apply_restrict", refuse)
     g, strat, _ = SPOT_CASES["2-tree"]()
     assert minimax_rounds(strat, GameState(g, ConstSeq(2))) == 9
+
+
+class ShortPreserver(game.Preserver):
+    """Keeps only the top label of the largest canonical interval: a
+    legal reply that legal_replies does not list."""
+
+    def choose(self, state, layering, replies):
+        hi = MaxKeepPreserver().choose(state, layering, replies)[1]
+        return (hi, hi)
+
+
+@pytest.mark.parametrize("preserver, checks_per_restrict", [("max", 1), ("random:5", 1), ("short", 2)])
+def test_play_checks_each_layering_once(monkeypatch, preserver, checks_per_restrict):
+    # a canonical reply takes its state from the kept set legal_replies
+    # built after checking the layering; any other reply goes through
+    # apply_restrict, which checks it again.  Transcripts do not change.
+    def chooser():
+        return ShortPreserver() if preserver == "short" else parse_preserver(preserver)
+
+    g, strat, _ = SPOT_CASES["3-tree"]()
+    state = GameState(g, ConstSeq(2))
+    want = play(strat, chooser(), state).to_json()
+    calls = []
+    check = game.require_layering
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(game, "require_layering", counted)
+    t = play(strat, chooser(), state)
+    restricts = sum(e.action == "restrict" for e in t.entries)
+    assert t.outcome == "win" and restricts > 1
+    assert len(calls) == checks_per_restrict * restricts
+    assert t.to_json() == want
+    monkeypatch.undo()
+    t.replay(state)

@@ -1,16 +1,20 @@
+import hashlib
+import json
 import os
 import re
 import subprocess
 import sys
 import time
 
+import networkx as nx
 import pytest
 
 import bakergame
-from bakergame import ptas
+from bakergame import ptas, strategies
 
 from bakergame.game import (
     DELETE,
+    Action,
     GameState,
     apply_delete,
     apply_restrict,
@@ -252,6 +256,51 @@ def test_distortion_strategy_on_unit_grid():
     assert t.outcome == "win"
     # [PAPER] dim + prod(beta * r_i + 1) = 2 + 4 rounds at most
     assert t.rounds <= 6
+
+
+def test_one_vertex_chordal_plays_the_edgeless_move(monkeypatch):
+    # one vertex is chordal with left-degree 0: chordal:d makes the
+    # edgeless strategy's move at once, without d nested builds or an
+    # ordering scan
+    scans = []
+    monkeypatch.setattr(strategies, "check_chordal_ordering", scans.append)
+    state = GameState(OrderedGraph([7]), ConstSeq(3))
+    ids = ptas.StateIds()
+    want_action, want_next = EdgelessStrategy().next_action(state)
+    for d in (1, 2, 3, 2000):
+        action, succ = ChordalStrategy(d).next_action(state)
+        assert action == want_action == Action.delete()
+        assert type(succ) is EdgelessStrategy and succ.state_id(ids) == want_next.state_id(ids)
+    assert scans == []
+
+
+def test_atlas_minimax_values_and_states_pinned():
+    # minimax values and states of chordal, clique-sum, quotient and
+    # minorfree strategies on the atlas graphs with 1 to 6 vertices, as
+    # measured before one-vertex pieces took the edgeless move directly
+    rows = []
+    for G in nx.graph_atlas_g()[1:]:
+        if G.number_of_nodes() > 6:
+            break
+        g = OrderedGraph(range(G.number_of_nodes()), G.edges())
+        ok, ld = check_chordal_ordering(g)
+        texts = ["minorfree:5"]
+        if ok:
+            texts += ["chordal:%d" % d for d in (1, 2, 3) if ld <= d]
+            if ld <= 2:
+                texts += ["cliquesum(chordal:2,chordal:2)", "quotient(chordal:2,2)"]
+        for text in texts:
+            built = build_strategy(text, g)
+            if isinstance(built, MinorWitness):
+                continue
+            g2, strat, _ = built
+            for c in (1, 2):
+                stats = {}
+                value = minimax_rounds(strat, GameState(g2, ConstSeq(c)), stats=stats)
+                rows.append((text, c, value, stats["states"]))
+    assert (len(rows), sum(r[2] for r in rows), sum(r[3] for r in rows)) == (876, 3869, 7399)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "6b84e81b52dfff6514d271d581f3d809efc34d2b1991d85865d141c3cecd30ee"
 
 
 def test_distortion_rejects_wrong_embedding():
