@@ -35,11 +35,13 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import count, product
+from itertools import accumulate, combinations, count, groupby, product
+from operator import or_
 
 from .covers import Cover, margin, occupied_intervals, plan_dp
-from .game import DELETE, GameState, apply_delete, apply_restrict
-from .graph import OrderedGraph
+# apply_restrict stays bound for perfbench/tracer.py; children use _restricted
+from .game import DELETE, GameState, _restricted, apply_delete, apply_restrict  # noqa: F401
+from .graph import OrderedGraph, require_layering
 from .sequences import ScheduleSeq
 
 INFEASIBLE = None
@@ -165,15 +167,39 @@ class _Delete:
 class _Restrict:
     """A position where the strategy restricts: lo is the smallest live
     vertex, then its state, the strategy after the move, the move, the
-    deduplicated covers of the layering and the child position of each
-    window used so far."""
+    label table of its layering, the deduplicated covers as (residue,
+    intervals, the problem's masks per interval) and the child position
+    of each window used so far."""
 
     lo: int
     state: GameState
     strat: object
     action: object
+    table: object
     covers: list
     children: dict = field(default_factory=dict)
+
+
+class _LabelTable:
+    """One layering's vertices in label order, their labels, the sorted
+    distinct labels and the prefix ORs of the vertex bits by label: the
+    vertices or the bits of a label interval cost two bisects."""
+
+    __slots__ = ("order", "keys", "labels", "prefix")
+
+    def __init__(self, lam):
+        self.order = sorted(lam, key=lam.__getitem__)
+        self.keys = [lam[v] for v in self.order]
+        self.labels = sorted(set(self.keys))
+        runs = groupby(self.order, key=lam.__getitem__)
+        self.prefix = list(accumulate([_bits_from(0, vs) for _, vs in runs], or_, initial=0))
+
+    def bits(self, lo, hi):
+        labels, prefix = self.labels, self.prefix
+        return prefix[bisect_right(labels, hi)] & ~prefix[bisect_left(labels, lo)]
+
+    def vertices(self, lo, hi):
+        return self.order[bisect_left(self.keys, lo) : bisect_right(self.keys, hi)]
 
 
 class StateIds:
@@ -203,12 +229,12 @@ class _Search:
     _Delete or _Restrict record in its place.  The game's end has no
     position: its id is None."""
 
-    __slots__ = ("deadline", "max_nodes", "radius", "nodes", "ids", "positions", "_index")
+    __slots__ = ("deadline", "max_nodes", "prob", "nodes", "ids", "positions", "_index")
 
-    def __init__(self, radius, deadline=None, max_nodes=None):
+    def __init__(self, prob, deadline=None, max_nodes=None):
         self.deadline = deadline
         self.max_nodes = max_nodes
-        self.radius = radius
+        self.prob = prob
         self.nodes = 0
         self.ids = StateIds()
         self.positions = []
@@ -231,7 +257,8 @@ class _Search:
         """Play the strategy's move at position pid, which no node has
         reached yet, and return its record.  A Delete record keeps
         neither the state nor the strategy, only what the delete
-        branches need."""
+        branches need.  A Restrict record checks its layering once and
+        keeps the label table and slice masks that later nodes read."""
         strat, state = self.positions[pid]
         g = state.graph
         lo = g.vertices[0]
@@ -241,8 +268,15 @@ class _Search:
             child = self.position(strat.observe(action, None, ns), ns)
             rec = _Delete(lo, _bits_from(0, g.adj[lo]), child)
         else:
-            covers = list(_dedup_covers(state.rseq.head, self.radius, action.layering))
-            rec = _Restrict(lo, state, strat, action, covers)
+            lam, head, r = action.layering, state.rseq.head, self.prob.radius
+            require_layering(g, lam, "proposed layering")
+            table = _LabelTable(lam)
+            covers = []
+            for residue, ivs in _dedup_covers(head, r, lam):
+                if any([b - a + 1 > head for a, b in ivs]):
+                    raise SolverInvariantError("cover window longer than head %d" % head)
+                covers.append((residue, ivs, [self.prob.masks(table, iv, r) for iv in ivs]))
+            rec = _Restrict(lo, state, strat, action, table, covers)
         self.positions[pid] = rec
         return rec
 
@@ -251,7 +285,7 @@ class _Search:
         record rec with window."""
         children = rec.children
         if window not in children:
-            ns = apply_restrict(rec.state, rec.action.layering, window)
+            ns = _restricted(rec.state, rec.table.vertices(*window))
             children[window] = self.position(rec.strat.observe(rec.action, window, ns), ns)
         return children[window]
 
@@ -351,9 +385,11 @@ class _Problem:
     child) pairs for the deletion of v, the smallest live vertex, whose
     live neighbours are the bitmask nbrs, bit w for neighbour w; cell is
     what the branch adds to the bag, None for nothing; a later branch
-    wins a tie.  slice(inst, g, lam, intervals, r): per interval of one
-    cover of the live graph g, the window its slice plays and (tag,
-    child) pairs, or INFEASIBLE when the cover cannot work.
+    wins a tie.  masks(table, interval, r): the interval's bitmasks from
+    the layering's _LabelTable, made once per cover.  slice(inst,
+    intervals, masks): per interval of one cover, the window its slice
+    plays and (tag, child) pairs, or INFEASIBLE when the cover cannot
+    work.
     combine(inst, tables): one child answer per (window, {tag: answer})
     table, to be united, or INFEASIBLE.  check(inst, g, chosen): raise
     SolverInvariantError unless the united answer is valid."""
@@ -364,6 +400,7 @@ class _Problem:
     leaf: object
     instance_key: object
     delete_branches: object
+    masks: object
     slice: object
     combine: object
     check: object
@@ -377,11 +414,9 @@ def _restrict_node(prob, inst, rec, key, memo, search):
     generator: it yields (instance, position id) for each slice and is
     sent the slice's answer; it stores its own answer in the memo."""
     state = rec.state
-    g = state.graph
-    lam = rec.action.layering
     best = INFEASIBLE
-    for residue, intervals in rec.covers:
-        plan = prob.slice(inst, g, lam, intervals, prob.radius)
+    for residue, intervals, masks in rec.covers:
+        plan = prob.slice(inst, intervals, masks)
         if plan is INFEASIBLE:
             continue
         tables = []
@@ -406,7 +441,7 @@ def _restrict_node(prob, inst, rec, key, memo, search):
     out = INFEASIBLE
     if best is not INFEASIBLE:
         residue, size, chosen, picked = best
-        prob.check(inst, g, chosen)
+        prob.check(inst, state.graph, chosen)
         prov = [{"round": state.round + 1, "ell": state.rseq.head, "residue": residue}]
         for res in picked:
             prov.extend(res[2])
@@ -481,10 +516,6 @@ def _empty(inst):
     return (0, None, [])
 
 
-def _label_bits(lam, lo, hi):
-    return _bits_from(0, [v for v, lab in lam.items() if lo <= lab <= hi])
-
-
 def _union(inst, tables):
     return [table[None] for _, table in tables]
 
@@ -494,16 +525,20 @@ def _union(inst, tables):
 # demand bitmask and the tuple of hit-set bitmasks, bit v for vertex v
 
 
-def slice_domset(demand, lam, interval, r, assigned_hits):
-    """Restrict a dominating-set instance, given as demand bits, to one
-    cover interval: demand shrinks to the mid-margin, and each hit-set
-    (bits) assigned to this interval must be met inside the core
-    margin.  The slice's (demand, hits) bit pair, or INFEASIBLE."""
-    core = _label_bits(lam, *margin(interval, 2 * r))
+def slice_domset(demand, masks, assigned_hits):
+    """Restrict demand bits to one cover interval, whose _dom_masks are
+    (core, mid): demand shrinks to the mid-margin, and each hit-set
+    (bits) assigned to it must be met inside the core margin.  The
+    slice's (demand, hits) bit pair, or INFEASIBLE."""
+    core, mid = masks
     hits = tuple(h & core for h in assigned_hits)
     if not all(hits):
         return INFEASIBLE
-    return demand & _label_bits(lam, *margin(interval, r)), hits
+    return demand & mid, hits
+
+
+def _dom_masks(table, interval, r):
+    return table.bits(*margin(interval, 2 * r)), table.bits(*margin(interval, r))
 
 
 def _dom_leaf(inst):
@@ -530,23 +565,21 @@ def _dom_branches(inst, v, nbrs):
     return out
 
 
-def _dom_slices(inst, g, lam, intervals, r):
+def _dom_slices(inst, intervals, masks):
     """Every hit-set goes to one interval whose core it meets; each
     interval is tried with every subset of the hit-sets it can host."""
-    hits = inst[1]
-    cores = [_label_bits(lam, *margin(iv, 2 * r)) for iv in intervals] if hits else []
-    avail = [[i for i, core in enumerate(cores) if h & core] for h in hits]
+    avail = [[i for i, (core, _) in enumerate(masks) if h & core] for h in inst[1]]
     if not all(avail):
         return INFEASIBLE
-    return [(iv, _dom_tables(inst, lam, iv, r, i, avail)) for i, iv in enumerate(intervals)]
+    return [(iv, _dom_tables(inst, masks[i], i, avail)) for i, iv in enumerate(intervals)]
 
 
-def _dom_tables(inst, lam, iv, r, i, avail):
+def _dom_tables(inst, masks, i, avail):
     """0/1 tuples over the hit-sets, j being 1 only if interval i can
     host hit-set j, each with its slice's (demand, hits) pair."""
     demand, hits = inst
     for tup in product(*[(0, 1) if i in opts else (0,) for opts in avail]):
-        yield tup, slice_domset(demand, lam, iv, r, [h for h, b in zip(hits, tup) if b])
+        yield tup, slice_domset(demand, masks, [h for h, b in zip(hits, tup) if b])
 
 
 def _dom_combine(inst, tables):
@@ -569,7 +602,8 @@ def _dom_check(inst, g, chosen):
 
 
 _DOMSET = _Problem(
-    "domset", False, 1, _dom_leaf, _dom_key, _dom_branches, _dom_slices, _dom_combine, _dom_check
+    "domset", False, 1, _dom_leaf, _dom_key, _dom_branches,
+    _dom_masks, _dom_slices, _dom_combine, _dom_check,
 )
 
 
@@ -578,13 +612,17 @@ _DOMSET = _Problem(
 # bit v for vertex v
 
 
-def slice_mis(forbidden, lam, interval, r):
-    """Forbidden bitmask of the slice on interval: the vertices outside
-    the core margin are forbidden too, so that the independent sets of
-    distinct slices cannot be adjacent."""
-    keep = _label_bits(lam, *interval)
-    core = _label_bits(lam, *margin(interval, 2 * r))
-    return (forbidden | (keep & ~core)) & keep
+def slice_mis(forbidden, masks):
+    """Forbidden bitmask of the slice on an interval, whose _mis_masks
+    are (keep, outside the core margin): outside vertices are forbidden
+    too, so the independent sets of distinct slices are not adjacent."""
+    keep, outside = masks
+    return (forbidden | outside) & keep
+
+
+def _mis_masks(table, interval, r):
+    keep = table.bits(*interval)
+    return keep, keep & ~table.bits(*margin(interval, 2 * r))
 
 
 def _mis_branches(forbidden, v, nbrs):
@@ -595,8 +633,8 @@ def _mis_branches(forbidden, v, nbrs):
     return [(v, forbidden | nbrs), skip]
 
 
-def _mis_slices(forbidden, g, lam, intervals, r):
-    return [(iv, [(None, slice_mis(forbidden, lam, iv, r))]) for iv in intervals]
+def _mis_slices(forbidden, intervals, masks):
+    return [(iv, [(None, slice_mis(forbidden, m))]) for iv, m in zip(intervals, masks)]
 
 
 def _mis_check(forbidden, g, chosen):
@@ -608,7 +646,8 @@ def _mis_check(forbidden, g, chosen):
 
 
 _MIS = _Problem(
-    "mis", True, 1, _empty, lambda f, lo: f >> lo, _mis_branches, _mis_slices, _union, _mis_check
+    "mis", True, 1, _empty, lambda f, lo: f >> lo, _mis_branches,
+    _mis_masks, _mis_slices, _union, _mis_check,
 )
 
 
@@ -618,11 +657,14 @@ _MIS = _Problem(
 # are (vertex, colour) pairs
 
 
-def slice_ccolorable(lists, lam, interval):
-    """Keep the interior of the interval: one label trimmed from both
-    ends, so unions over a non-overlapping cover stay non-adjacent."""
-    keep = _label_bits(lam, *margin(interval, 1))
-    return tuple((a, m & keep) for a, m in lists)
+def slice_ccolorable(lists, interior):
+    """Keep the interval's interior, its _col_masks: one label trimmed
+    from both ends, so unions over a non-overlapping cover stay apart."""
+    return tuple((a, m & interior) for a, m in lists)
+
+
+def _col_masks(table, interval, r):
+    return table.bits(*margin(interval, 1))
 
 
 def _col_key(lists, lo):
@@ -644,12 +686,12 @@ def _col_branches(lists, v, nbrs):
     return [(None, rest)] + coloured[::-1]
 
 
-def _col_slices(lists, g, lam, intervals, r):
+def _col_slices(lists, intervals, masks):
     out = []
-    for iv in intervals:
+    for iv, interior in zip(intervals, masks):
         inner = margin(iv, 1)
         if inner[0] <= inner[1]:
-            out.append((inner, [(None, slice_ccolorable(lists, lam, iv))]))
+            out.append((inner, [(None, slice_ccolorable(lists, interior))]))
     return out
 
 
@@ -666,7 +708,8 @@ def _col_check(lists, g, chosen):
 
 
 _COLORABLE = _Problem(
-    "ccolorable", True, 0, _empty, _col_key, _col_branches, _col_slices, _union, _col_check
+    "ccolorable", True, 0, _empty, _col_key, _col_branches,
+    _col_masks, _col_slices, _union, _col_check,
 )
 
 
@@ -676,7 +719,7 @@ _COLORABLE = _Problem(
 
 def _solve(prob, graph, inst, strategy, k, memo, deadline_seconds, max_nodes):
     dl = None if deadline_seconds is None else time.monotonic() + deadline_seconds
-    search = _Search(prob.radius, dl, max_nodes)
+    search = _Search(prob, dl, max_nodes)
     pid = search.position(strategy, GameState(graph, ScheduleSeq(prob.name, k)))
     return _walk(prob, inst, pid, {} if memo else None, search)
 
@@ -695,9 +738,7 @@ def solve_mis(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=No
     return Solution("mis", True, _bag_set(res[1]), None, res[2])
 
 
-def solve_ccolorable(
-    inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None
-):
+def solve_ccolorable(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
     lists = dict(inst.lists)
     palette = sorted(frozenset().union(*lists.values()))
     masks = tuple((a, _bits_from(0, [v for v in lists if a in lists[v]])) for a in palette)
@@ -825,8 +866,6 @@ def _list_colorable(g, vs, lists):
 
 def oracle_ccolorable(inst, cap=15):
     """Exact largest induced subgraph colorable from the lists."""
-    from itertools import combinations
-
     g = inst.graph
     if g.n > cap:
         raise OracleError("baseline limited to %d vertices" % cap)

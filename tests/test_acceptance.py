@@ -50,7 +50,7 @@ from bakergame import (
     verify_solution,
 )
 from bakergame.cli import main
-from bakergame.ptas import INFEASIBLE, slice_domset
+from bakergame.ptas import INFEASIBLE, _dom_masks, _LabelTable, slice_domset
 from bakergame.strategies import DistortionStrategy
 
 
@@ -371,6 +371,7 @@ def test_criterion_7_hit_distribution():
         n = rng.randrange(8, 16)
         g = random_connected(n, rng.randrange(0, n // 2), rng)
         lam = bfs_layering(g, 0)
+        table = _LabelTable(lam)
         m = rng.randrange(1, 3)
         hits = tuple(
             frozenset(rng.sample(range(n), rng.randrange(2, 5))) for _ in range(m)
@@ -398,7 +399,9 @@ def test_criterion_7_hit_distribution():
                 feasible = True
                 for i, iv in enumerate(ivs):
                     sub = slice_domset(
-                        demand, lam, iv, r, [hit_bits[j] for j in range(m) if assign[j] == i]
+                        demand,
+                        _dom_masks(table, iv, r),
+                        [hit_bits[j] for j in range(m) if assign[j] == i],
                     )
                     if sub is INFEASIBLE:
                         feasible = False

@@ -12,8 +12,9 @@ from hypothesis import strategies as hst
 from bakergame import ptas
 from bakergame.covers import Cover, margin, occupied_intervals
 from bakergame.generators import gen_grid, gen_ktree, gen_random_instance
-from bakergame.graph import OrderedGraph
-from bakergame.strategies import QuotientStrategy, build_strategy
+from bakergame.game import Action
+from bakergame.graph import NotALayeringError, OrderedGraph
+from bakergame.strategies import DestroyerStrategy, QuotientStrategy, build_strategy
 
 
 def path(n):
@@ -389,6 +390,81 @@ def test_dedup_covers_matches_reference():
             short += 1
     # many windows much longer than the labels' span, and many others
     assert long > 300 and short > 1000, (long, short)
+
+
+def _label_bits(lam, lo, hi):
+    """The bits of the vertices labelled lo..hi, by a scan of the whole
+    layering: how slices read a layering before the label tables."""
+    return sum(1 << v for v, lab in lam.items() if lo <= lab <= hi)
+
+
+def _reference_masks(name, lam, iv, r):
+    """Each problem's masks for interval iv, by the scan."""
+    if name == "mis":
+        keep = _label_bits(lam, *iv)
+        return keep, keep & ~_label_bits(lam, *margin(iv, 2 * r))
+    if name == "domset":
+        return _label_bits(lam, *margin(iv, 2 * r)), _label_bits(lam, *margin(iv, r))
+    return _label_bits(lam, *margin(iv, 1))
+
+
+def test_label_table_matches_the_scan():
+    rng = random.Random(20261019)
+    seen = {"empty": 0, "outside": 0, "gaps": 0, "negative": 0}
+    for _ in range(2000):
+        first = rng.randint(-30, 10)
+        # distinct labels with gaps between them, on sparse vertex ids
+        labels = sorted({first + rng.randint(0, 25) for _ in range(rng.randint(1, 8))})
+        ids = rng.sample(range(120), rng.randint(len(labels), 40))
+        lam = {v: labels[i] if i < len(labels) else rng.choice(labels) for i, v in enumerate(ids)}
+        table = ptas._LabelTable(lam)
+        seen["gaps"] += labels[-1] - labels[0] + 1 > len(labels)
+        seen["negative"] += labels[0] < 0
+        for _ in range(6):
+            lo = rng.randint(labels[0] - 8, labels[-1] + 8)
+            hi = lo + rng.randint(-4, 12)
+            seen["empty"] += lo > hi
+            seen["outside"] += hi < labels[0] or lo > labels[-1]
+            want = _label_bits(lam, lo, hi)
+            assert table.bits(lo, hi) == want, (lam, lo, hi)
+            got = table.vertices(lo, hi)
+            assert sum(1 << v for v in got) == want and len(got) == bin(want).count("1")
+            assert [lam[v] for v in got] == sorted(lam[v] for v in got)
+        for prob in (ptas._MIS, ptas._DOMSET, ptas._COLORABLE):
+            r = prob.radius
+            ell = rng.randint(2 * r + 1, 2 * r + 12)
+            for _, intervals in ptas._dedup_covers(ell, r, lam):
+                for iv in intervals:
+                    want = _reference_masks(prob.name, lam, iv, r)
+                    assert prob.masks(table, iv, r) == want, (prob.name, lam, iv)
+    assert min(seen.values()) > 200, seen
+
+
+class _SpacedLayering(DestroyerStrategy):
+    """Restricts with labels 0, step, 2 step, ... along the vertex
+    order: a layering of a path for step 1, and none for step 2."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def next_action(self, state):
+        vs = state.graph.vertices
+        return Action.restrict({v: self.step * i for i, v in enumerate(vs)}), self
+
+    def state(self, ids):
+        return self.step
+
+
+def test_solver_refuses_a_non_layering():
+    with pytest.raises(NotALayeringError):
+        ptas.solve_mis(ptas.ISInstance.full(path(6)), _SpacedLayering(2), 2)
+
+
+def test_solver_refuses_windows_longer_than_head(monkeypatch):
+    # a Restrict checks its covers once, against the round's head
+    monkeypatch.setattr(ptas, "_dedup_covers", lambda ell, r, lam: iter([(0, [(0, ell)])]))
+    with pytest.raises(ptas.SolverInvariantError, match="longer than head"):
+        ptas.solve_mis(ptas.ISInstance.full(path(6)), _SpacedLayering(1), 2)
 
 
 _DEEP_GAME = """

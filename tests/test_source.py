@@ -18,6 +18,24 @@ def test_no_bare_assert_in_library():
     assert found == []
 
 
+def test_library_imports_no_scipy_or_numpy():
+    # scipy and numpy serve the exact references in tests/ only; the
+    # library depends on nothing outside the standard library
+    found = []
+    for path in sorted(pathlib.Path(bakergame.__file__).parents[1].rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            for name in names:
+                if name.split(".")[0] in ("scipy", "numpy"):
+                    found.append("%s:%d imports %s" % (path.name, node.lineno, name))
+    assert found == []
+
+
 def test_one_descriptor_grammar():
     # parse_descriptor alone reads descriptor text, and a strategy gets
     # its descriptor from its constructor, not patched on afterwards
