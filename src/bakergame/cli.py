@@ -112,7 +112,7 @@ def cmd_play(args):
         try:
             bound = round_bound(strategy.descriptor, rseq)
             str(bound)  # the report spells it in decimal, within Python's digit limit
-        except (SequenceError, OverflowError, ValueError):
+        except (SequenceError, OverflowError, ValueError, RecursionError):
             bound = None
         report["round_bound"] = bound
         if perm is not None:

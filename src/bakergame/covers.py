@@ -8,6 +8,7 @@ mid-margins (d = r) partition the line and the core margins (d = 2r)
 of distinct intervals are more than 2r apart.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -34,9 +35,6 @@ class Cover:
     def step(self):
         return self.ell - 2 * self.r
 
-    def interval_at(self, start):
-        return (start, start + self.ell - 1)
-
 
 def margin(interval, d):
     """Trim d off both ends; may be empty (lo > hi)."""
@@ -45,20 +43,20 @@ def margin(interval, d):
 
 
 def occupied_intervals(cover, lam):
-    """Intervals of the cover containing at least one label of lam."""
-    labels = set(lam.values())
+    """Intervals of the cover containing at least one label of lam; a
+    start whose interval misses the next label (a bisect) jumps to it."""
+    labels = sorted(set(lam.values()))
     if not labels:
         return []
-    lo, hi = min(labels), max(labels)
-    step = cover.step
-    first = lo - cover.ell + 1
-    shift = (cover.residue - first) % step
+    ell, step = cover.ell, cover.step
+    s = labels[0] - ell + 1
+    s += (cover.residue - s) % step
     out = []
-    s = first + shift
-    while s <= hi:
-        iv = cover.interval_at(s)
-        if any(iv[0] <= lab <= iv[1] for lab in labels):
-            out.append(iv)
+    while s <= labels[-1]:
+        nxt = labels[bisect_left(labels, s)]
+        if nxt >= s + ell:
+            s += (nxt - s - ell) // step * step + step
+        out.append((s, s + ell - 1))
         s += step
     return out
 

@@ -33,21 +33,29 @@ class PartitionError(GraphError):
     pass
 
 
+def bits_of(vs, lo=0):
+    """The int with bit v - lo set for every v in vs, in one pass."""
+    bits = 0
+    for v in vs:
+        bits |= 1 << (v - lo)
+    return bits
+
+
 class OrderedGraph:
     """Immutable simple graph on integer vertices, ordered numerically.
 
-    Besides vertex_bits, a graph caches its structural verdicts in _facts
-    (see _recall): they depend only on the graph and on objects that are
-    never mutated either."""
+    Besides vertex_bits, a graph caches its chordal verdict (_chordal) and
+    (gp, d, verdict) for the last partition it checked (_partition): gp,
+    never mutated either, stays alive there, so its id is not reused."""
 
-    __slots__ = ("vertices", "adj", "annotations", "_vset", "_m", "_bits", "_facts")
+    __slots__ = ("vertices", "adj", "annotations", "_vset", "_m", "_bits", "_chordal", "_partition")
 
     def __init__(self, vertices, edges=(), annotations=None, _adj=None):
         vs = tuple(sorted(set(vertices)))
         self.vertices = vs
         self._vset = frozenset(vs)
         self._bits = None
-        self._facts = None
+        self._chordal = self._partition = None
         if _adj is not None:
             self.adj = _adj
         else:
@@ -79,7 +87,7 @@ class OrderedGraph:
         g._m = m
         g.annotations = annotations
         g._bits = bits
-        g._facts = None
+        g._chordal = g._partition = None
         return g
 
     def __reduce__(self):
@@ -113,17 +121,9 @@ class OrderedGraph:
         """The vertex set as an int with bit v - smallest() set for every
         vertex v (0 when empty).  Cached; delete_smallest derives its
         result's by one shift."""
-        bits = self._bits
-        if bits is None:
-            bits = 0
-            if self.vertices:
-                lo = self.vertices[0]
-                buf = bytearray(((self.vertices[-1] - lo) >> 3) + 1)
-                for v in self.vertices:
-                    buf[(v - lo) >> 3] |= 1 << ((v - lo) & 7)
-                bits = int.from_bytes(buf, "little")
-            self._bits = bits
-        return bits
+        if self._bits is None:
+            self._bits = bits_of(self.vertices, self.vertices[0]) if self.vertices else 0
+        return self._bits
 
     def edge_list(self):
         return sorted((u, v) for u in self.vertices for v in self.adj[u] if u < v)
@@ -383,9 +383,9 @@ def extend_geodesic_layering(graph, part, lam):
 class GeodesicPartition:
     """Ordered partition with a stored layering per part and the quotient.
 
-    A graph remembers its check_geodesic_partition verdict per partition
-    object, so part_layerings must not be changed once a graph has
-    checked the partition."""
+    A graph remembers its check_geodesic_partition verdict on the last
+    partition object it checked, so part_layerings must not be changed
+    once a graph has checked the partition."""
 
     parts: tuple  # tuple of frozensets, respecting the vertex order
     part_layerings: tuple  # tuple of dicts, one per part
@@ -420,23 +420,6 @@ def quotient(graph, parts):
     return OrderedGraph(range(len(parts)), edges)
 
 
-def _recall(graph, key, about):
-    """The verdict cached on graph under key, or None.  An entry keeps
-    the object it judges (about), so while it exists no other object can
-    take over that object's id; the entry counts only for that object."""
-    entry = graph._facts.get(key) if graph._facts else None
-    if entry is not None and entry[0] is about:
-        return entry[1]
-    return None
-
-
-def _remember(graph, key, about, verdict):
-    if graph._facts is None:
-        graph._facts = {}
-    graph._facts[key] = (about, verdict)
-    return verdict
-
-
 def check_chordal_ordering(graph):
     """Return (is_chordal, max_left_degree).
 
@@ -444,19 +427,18 @@ def check_chordal_ordering(graph):
     clique.  max_left_degree is reported either way.  The graph
     remembers the answer.
     """
-    known = _recall(graph, "chordal", None)
-    if known is not None:
-        return known
-    ok = True
-    max_ld = 0
-    for v in graph.vertices:
-        left = sorted(w for w in graph.adj[v] if w < v)
-        max_ld = max(max_ld, len(left))
-        for i, a in enumerate(left):
-            for b in left[i + 1 :]:
-                if not graph.has_edge(a, b):
-                    ok = False
-    return _remember(graph, "chordal", None, (ok, max_ld))
+    if graph._chordal is None:
+        ok = True
+        max_ld = 0
+        for v in graph.vertices:
+            left = sorted(w for w in graph.adj[v] if w < v)
+            max_ld = max(max_ld, len(left))
+            for i, a in enumerate(left):
+                for b in left[i + 1 :]:
+                    if not graph.has_edge(a, b):
+                        ok = False
+        graph._chordal = (ok, max_ld)
+    return graph._chordal
 
 
 def geodesic_partition_violation(graph, gp, d):
@@ -488,12 +470,11 @@ def geodesic_partition_violation(graph, gp, d):
 
 def check_geodesic_partition(graph, gp, d):
     """True iff gp is a width-d geodesic partition of graph.  The graph
-    remembers the verdict for this gp object and d."""
-    key = ("partition", id(gp), d)
-    known = _recall(graph, key, gp)
-    if known is None:
-        known = _remember(graph, key, gp, geodesic_partition_violation(graph, gp, d) is None)
-    return known
+    remembers the verdict on the last gp object and d it judged."""
+    last = graph._partition
+    if last is None or last[0] is not gp or last[1] != d:
+        last = graph._partition = (gp, d, geodesic_partition_violation(graph, gp, d) is None)
+    return last[2]
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from operator import or_
 from .covers import Cover, margin, occupied_intervals, plan_dp
 # apply_restrict stays bound for perfbench/tracer.py; children use _restricted
 from .game import DELETE, GameState, _restricted, apply_delete, apply_restrict  # noqa: F401
-from .graph import OrderedGraph, require_layering
+from .graph import OrderedGraph, bits_of, require_layering
 from .sequences import ScheduleSeq
 
 INFEASIBLE = None
@@ -192,7 +192,7 @@ class _LabelTable:
         self.keys = [lam[v] for v in self.order]
         self.labels = sorted(set(self.keys))
         runs = groupby(self.order, key=lam.__getitem__)
-        self.prefix = list(accumulate([_bits_from(0, vs) for _, vs in runs], or_, initial=0))
+        self.prefix = list(accumulate([bits_of(vs) for _, vs in runs], or_, initial=0))
 
     def bits(self, lo, hi):
         labels, prefix = self.labels, self.prefix
@@ -266,7 +266,7 @@ class _Search:
         if action.kind == DELETE:
             ns = apply_delete(state)
             child = self.position(strat.observe(action, None, ns), ns)
-            rec = _Delete(lo, _bits_from(0, g.adj[lo]), child)
+            rec = _Delete(lo, bits_of(g.adj[lo]), child)
         else:
             lam, head, r = action.layering, state.rseq.head, self.prob.radius
             require_layering(g, lam, "proposed layering")
@@ -313,13 +313,6 @@ def _bag_set(bag):
         else:
             out.add(item)
     return frozenset(out)
-
-
-def _bits_from(lo, vs):
-    bits = 0
-    for v in vs:
-        bits |= 1 << (v - lo)
-    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +718,7 @@ def _solve(prob, graph, inst, strategy, k, memo, deadline_seconds, max_nodes):
 
 
 def solve_domset(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
-    pair = (_bits_from(0, inst.demand), tuple(_bits_from(0, h) for h in inst.hits))
+    pair = (bits_of(inst.demand), tuple(bits_of(h) for h in inst.hits))
     res = _solve(_DOMSET, inst.graph, pair, strategy, k, memo, deadline_seconds, max_nodes)
     if res is INFEASIBLE:
         return Solution("domset", False)
@@ -733,7 +726,7 @@ def solve_domset(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes
 
 
 def solve_mis(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
-    forbidden = _bits_from(0, inst.forbidden)
+    forbidden = bits_of(inst.forbidden)
     res = _solve(_MIS, inst.graph, forbidden, strategy, k, memo, deadline_seconds, max_nodes)
     return Solution("mis", True, _bag_set(res[1]), None, res[2])
 
@@ -741,7 +734,7 @@ def solve_mis(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=No
 def solve_ccolorable(inst, strategy, k, memo=False, deadline_seconds=None, max_nodes=None):
     lists = dict(inst.lists)
     palette = sorted(frozenset().union(*lists.values()))
-    masks = tuple((a, _bits_from(0, [v for v in lists if a in lists[v]])) for a in palette)
+    masks = tuple((a, bits_of([v for v in lists if a in lists[v]])) for a in palette)
     res = _solve(_COLORABLE, inst.graph, masks, strategy, k, memo, deadline_seconds, max_nodes)
     colours = dict(sorted(_bag_set(res[1])))
     return Solution("ccolorable", True, frozenset(colours), colours, res[2])

@@ -64,9 +64,9 @@ class DestroyerStrategy:
     (action, successor) and observe(action, reply, new_state) the
     successor; neither assigns an attribute of self outside __init__.
     A changing move rebinds attributes of self.fork() instead.
-    config() returns what stays fixed for the object's lifetime (it is
-    pickled once) and state(ids) a hashable value of the rest, with
-    sub-strategies given by their state_id."""
+    descriptor and config() give what stays fixed for the object's
+    lifetime (pickled once, together) and state(ids) a hashable value of
+    the rest, with sub-strategies given by their state_id."""
 
     descriptor = None
     _sid = None
@@ -108,7 +108,7 @@ class DestroyerStrategy:
         if cached is not None and cached[0] == ids.serial:
             return cached[1]
         if self._config_key is None:
-            self._config_key = pickle.dumps(self.config())
+            self._config_key = pickle.dumps((self.descriptor, self.config()))
         sid = ids.number((type(self), self._config_key, self.state(ids)))
         self._sid = (ids.serial, sid)
         return sid
@@ -181,56 +181,66 @@ class MinorFreeD:
         return self.k - 2
 
 
-def _glue(t1, leaf, r):
-    """Rounds of a clique-sum whose base wins within t1 rounds of r
-    paired, and whose leaf then plays on the rest of r."""
-    return 2 * t1 + round_bound(leaf, r.tail(2 * t1 + 1)) + 1
-
-
 def round_bound(desc, r):
     """Rounds within which the described strategy wins, at worst, on
     sequence r.
 
     An unbounded case, one that would read r past INDEX_LIMIT, raises
     SequenceError; a distortion bound past the float range raises
-    OverflowError.
+    OverflowError.  Within one call, each chordal degree is bounded once
+    per sequence object.  A constant sequence is its own tail and
+    pairing, so on const:c a chordal degree d costs polynomially in d,
+    not c ** d.  The recursion takes two frames per degree.
     """
-    if isinstance(desc, ChordalD):
-        if desc.d <= 0:
-            return 2
-        return round_bound(ChainD(desc.d - 1, r.at(2)), r.tail(2)) + 2
-    if isinstance(desc, ChainD):
-        if desc.k > INDEX_LIMIT:
-            raise SequenceError("chain longer than the evaluation limit %d" % INDEX_LIMIT)
-        if desc.d <= 0:
-            # edgeless levels: t_1 = 2 and t_i = 2 * t_{i-1} + 2 + 1
-            return 5 * 2 ** (desc.k - 1) - 3
-        # level i of k glues ChordalD(d) on r paired k - i times over the
-        # levels below: build those sequences top-down, fold bottom-up
-        seqs = [r]
-        while len(seqs) < desc.k:
-            seqs.append(seqs[-1].paired())
-            # only a constant is its own pairing; any other r would be
-            # read at index 2 ** k or later by the bottom level
-            if seqs[-1] is not r and 2 ** len(seqs) > INDEX_LIMIT:
-                raise SequenceError("chain indexes past the evaluation limit %d" % INDEX_LIMIT)
-        t = round_bound(ChordalD(desc.d), seqs.pop())
-        while seqs:
-            t = _glue(t, ChordalD(desc.d), seqs.pop())
-        return t
-    if isinstance(desc, CliqueSumD):
-        return _glue(round_bound(desc.base, r.paired()), desc.leaf, r)
-    if isinstance(desc, QuotientD):
-        th = ThinnedSeq(r, desc.d)
-        return th.index(round_bound(desc.inner, th))
-    if isinstance(desc, DistortionD):
-        prod = 1
-        for i in range(1, desc.dim + 1):
-            prod *= desc.beta * r.at(i) + 1
-        return desc.dim + math.floor(prod)
-    if isinstance(desc, MinorFreeD):
-        return round_bound(QuotientD(ChordalD(desc.d), desc.d), r)
-    raise StrategyError("unknown descriptor %r" % (desc,))
+    chordal = {}  # (d, id(seq)) -> (bound, seq); holding seq keeps its id
+
+    def glue(t1, leaf, r):
+        # a clique-sum whose base wins within t1 rounds of r paired,
+        # and whose leaf then plays on the rest of r
+        return 2 * t1 + bound(leaf, r.tail(2 * t1 + 1)) + 1
+
+    def bound(desc, r):
+        if isinstance(desc, ChordalD):
+            if desc.d <= 0:
+                return 2
+            key = (desc.d, id(r))
+            if key not in chordal:
+                chordal[key] = (bound(ChainD(desc.d - 1, r.at(2)), r.tail(2)) + 2, r)
+            return chordal[key][0]
+        if isinstance(desc, ChainD):
+            if desc.k > INDEX_LIMIT:
+                raise SequenceError("chain longer than the evaluation limit %d" % INDEX_LIMIT)
+            if desc.d <= 0:
+                # edgeless levels: t_1 = 2 and t_i = 2 * t_{i-1} + 2 + 1
+                return 5 * 2 ** (desc.k - 1) - 3
+            # level i of k glues ChordalD(d) on r paired k - i times over the
+            # levels below: build those sequences top-down, fold bottom-up
+            seqs = [r]
+            while len(seqs) < desc.k:
+                seqs.append(seqs[-1].paired())
+                # only a constant is its own pairing; any other r would be
+                # read at index 2 ** k or later by the bottom level
+                if seqs[-1] is not r and 2 ** len(seqs) > INDEX_LIMIT:
+                    raise SequenceError("chain indexes past the evaluation limit %d" % INDEX_LIMIT)
+            t = bound(ChordalD(desc.d), seqs.pop())
+            while seqs:
+                t = glue(t, ChordalD(desc.d), seqs.pop())
+            return t
+        if isinstance(desc, CliqueSumD):
+            return glue(bound(desc.base, r.paired()), desc.leaf, r)
+        if isinstance(desc, QuotientD):
+            th = ThinnedSeq(r, desc.d)
+            return th.index(bound(desc.inner, th))
+        if isinstance(desc, DistortionD):
+            prod = 1
+            for i in range(1, desc.dim + 1):
+                prod *= desc.beta * r.at(i) + 1
+            return desc.dim + math.floor(prod)
+        if isinstance(desc, MinorFreeD):
+            return bound(QuotientD(ChordalD(desc.d), desc.d), r)
+        raise StrategyError("unknown descriptor %r" % (desc,))
+
+    return bound(desc, r)
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +313,12 @@ class ChordalStrategy(DestroyerStrategy):
         self.descriptor = ChordalD(d)
         self.phase = "spread"
         self.bfs_lam = None
-        self.bfs_key = None  # bfs_lam as a frozenset of items, for state()
         self.checked = False
 
-    def config(self):
-        return (self.d, self.descriptor)
-
     def state(self, ids):
-        return (self.phase, self.checked, self.bfs_key)
+        # bfs_lam is set only between a BFS Restrict and its observe
+        lam = None if self.bfs_lam is None else frozenset(self.bfs_lam.items())
+        return (self.phase, self.checked, lam)
 
     def next_action(self, state):
         g = state.graph
@@ -341,7 +349,6 @@ class ChordalStrategy(DestroyerStrategy):
         s.checked = True
         s.phase = "bfs"
         s.bfs_lam = lam
-        s.bfs_key = frozenset(lam.items())
         return Action.restrict(lam), s
 
     def observe(self, action, reply, new_state):
@@ -383,7 +390,7 @@ class CliqueSumStrategy(DestroyerStrategy):
         self.descriptor = descriptor
 
     def config(self):
-        return (self.leaf_factory, self.descriptor)
+        return self.leaf_factory
 
     def state(self, ids):
         below, keys = frozenset(), []  # frame i's base is live & below
@@ -545,7 +552,7 @@ class QuotientStrategy(DestroyerStrategy):
 
     def config(self):
         # part_of is derived from gp, d from descriptor
-        return (self.gp, self.descriptor)
+        return self.gp
 
     def state(self, ids):
         return (
@@ -626,7 +633,7 @@ class DistortionStrategy(DestroyerStrategy):
         self.checked = False
 
     def config(self):
-        return (self.emb, self.descriptor)
+        return self.emb
 
     def state(self, ids):
         return (self.axis, self.heads, self.checked)

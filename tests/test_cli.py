@@ -377,3 +377,14 @@ def test_quadratic_fit_is_one_sided():
     # measured node counts on square grids of side 3..7 at k = 2
     squares = ((9, 166), (16, 600), (25, 1971), (36, 4799), (49, 15875))
     assert not quadratic_fit(_fit_rows(squares))["within_3x"]
+
+
+def test_play_json_deep_chordal_bound_is_null(tmp_path, capsys):
+    # round_bound takes two frames per chordal degree, so chordal:2000
+    # passes Python's recursion limit: the report says null, no traceback
+    p = tmp_path / "p.gr"
+    run(capsys, ["generate", "grid", "--rows", "1", "--cols", "3", "-o", str(p)])
+    argv = ["play", "--graph", str(p), "--strategy", "chordal:2000", "--rseq", "const:1", "--json"]
+    code, out = run(capsys, argv)
+    report = json.loads(out)
+    assert code == 0 and report["outcome"] == "win" and report["round_bound"] is None

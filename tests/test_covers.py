@@ -39,6 +39,36 @@ def test_occupied_intervals():
     assert ivs == [(-3, 1), (0, 4), (6, 10), (9, 13)]
 
 
+def _occupied_by_scan(cover, lam):
+    """Every start of the cover from the lowest label's reach up to the
+    highest label, kept when its interval holds a label."""
+    labels = set(lam.values())
+    if not labels:
+        return []
+    starts = range(min(labels) - cover.ell + 1, max(labels) + 1)
+    return [
+        (s, s + cover.ell - 1)
+        for s in starts
+        if (s - cover.residue) % cover.step == 0 and any(s <= lab < s + cover.ell for lab in labels)
+    ]
+
+
+def test_occupied_intervals_match_a_scan_of_every_start():
+    # negative labels, gaps much wider than ell, and empty layerings
+    rng = random.Random(19)
+    jumped = 0
+    for _ in range(3000):
+        r = rng.randint(0, 3)
+        ell = rng.randint(2 * r + 1, 2 * r + 8)
+        cover = Cover(ell, r, rng.randrange(ell - 2 * r))
+        spread = rng.choice([3, 30, 300])
+        lam = {v: rng.randint(-spread, spread) for v in range(rng.randint(0, 12))}
+        want = _occupied_by_scan(cover, lam)
+        assert occupied_intervals(cover, lam) == want, (cover, lam)
+        jumped += any(b[0] - a[0] > cover.step for a, b in zip(want, want[1:]))
+    assert jumped > 500
+
+
 def test_consecutive_overlap_is_2r():
     ell, r = 9, 2
     cover = Cover(ell, r, 1)

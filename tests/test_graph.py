@@ -5,6 +5,7 @@ import pickle
 import random
 import re
 from functools import partial
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from bakergame.graph import (
     OrderedGraph,
     PartitionError,
     bfs_layering,
+    bits_of,
     check_chordal_ordering,
     check_geodesic_partition,
     extend_geodesic_layering,
@@ -426,12 +428,12 @@ def test_remembered_verdicts_stay_out_of_pickles_and_config_keys():
     g2.vertex_bits()
     assert check_chordal_ordering(h) == (True, 3)
     assert check_geodesic_partition(g2, gp, strat.d)
-    assert g2._facts and h._facts
+    assert g2._partition and h._chordal
     later = QuotientStrategy(ChordalStrategy(strat.d), gp, strat.descriptor)
     later.state_id(StateIds())
     assert (pickle.dumps(g2), pickle.dumps(h), later._config_key) == before
     clone = pickle.loads(pickle.dumps(g2))
-    assert clone == g2 and clone._facts is None
+    assert clone == g2 and clone._chordal is None and clone._partition is None
 
 
 def test_verdicts_are_remembered_per_graph_partition_and_width(monkeypatch):
@@ -449,3 +451,21 @@ def test_verdicts_are_remembered_per_graph_partition_and_width(monkeypatch):
     assert not check_geodesic_partition(g, gp, 0)
     assert len(scans) == 4
     assert check_chordal_ordering(gp.quotient_graph) is check_chordal_ordering(gp.quotient_graph)
+
+
+def test_bits_of_matches_a_sum_of_powers():
+    # lists with repeats, one-pass iterators and groupby groups, relative
+    # to 0 or to a positive smallest vertex; vertex_bits agrees
+    rng = random.Random(23)
+    for _ in range(500):
+        vs = rng.choices(range(rng.randint(1, 400)), k=rng.randint(0, 40))
+        for lo in {0, min(vs, default=0)}:
+            want = sum(1 << (v - lo) for v in set(vs))
+            assert bits_of(vs, lo) == want
+            assert bits_of(iter(vs), lo) == want
+        g = OrderedGraph(vs)
+        assert g.vertex_bits() == bits_of(vs, min(vs, default=0))
+        lam = {v: rng.randint(-3, 3) for v in set(vs)}
+        order = sorted(lam, key=lam.__getitem__)
+        for lab, group in groupby(order, key=lam.__getitem__):
+            assert bits_of(group) == sum(1 << v for v in lam if lam[v] == lab)

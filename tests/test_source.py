@@ -1,6 +1,8 @@
 import ast
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
 import bakergame
 from bakergame import covers, game, graph, ptas, strategies
@@ -108,3 +110,14 @@ def test_perfbench_tracer_round_trips():
         t.uninstall()
     for owner, saved in zip(owners, before):
         assert {k for k, v in saved.items() if vars(owner).get(k) is not v} == set(), owner
+
+
+def test_perfbench_selftest_passes():
+    # the self-test requires each workload to reach its layers, such as
+    # ptas.memo_key and covers.plan_dp on solve-grid and
+    # covers.occupied_intervals on solve-ktree, so a refactor that stops
+    # calling one of them fails here and not only in the benchmark
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cmd = [sys.executable, "perfbench/selftest.py"]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

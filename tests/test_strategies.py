@@ -73,6 +73,37 @@ def test_round_bound_chordal_frozen():
     assert round_bound(ChordalD(2), ConstSeq(1)) == 6
 
 
+def _const_chordal_bound(d, c):
+    # ChordalD(d) on const:c restricts once and plays a chain of c levels
+    # of ChordalD(d - 1), each glued on the same constant:
+    # T_0 = 2, T_d = (2 T_{d-1} + 1) * 2 ** (c - 1) - T_{d-1} + 1
+    t = 2
+    for _ in range(d):
+        t = (2 * t + 1) * 2 ** (c - 1) - t + 1
+    return t
+
+
+def test_round_bound_is_polynomial_in_the_chordal_degree():
+    for c in (1, 2, 3):
+        for d in range(41):
+            assert round_bound(ChordalD(d), ConstSeq(c)) == _const_chordal_bound(d, c), (d, c)
+    t0 = time.monotonic()
+    assert round_bound(ChordalD(40), ConstSeq(3)) == _const_chordal_bound(40, 3)
+    assert time.monotonic() - t0 < 1.0
+
+
+_DEEP_BOUND = """
+from bakergame.sequences import ConstSeq
+from bakergame.strategies import ChordalD, round_bound
+import sys
+print(round_bound(ChordalD(490), ConstSeq(1)), sys.getrecursionlimit())
+"""
+
+
+def test_round_bound_recursion_stays_two_frames_per_degree():
+    assert _run_under_default_limit(_DEEP_BOUND) == [str(_const_chordal_bound(490, 1)), "1000"]
+
+
 def test_round_bound_refuses_huge_thinned_indices():
     # minorfree:3 at const:28 needs the thinned index of a 28-level
     # chain bound, about 6.7e8, past INDEX_LIMIT: it fails fast instead
