@@ -5,8 +5,8 @@ Graph files:
     e <u> <v>           one line per edge
     a <name> <v>        v belongs to the annotation set <name>
     a <name>            declares <name> as an empty set
-Vertices are 0..n-1.  Blank lines and lines starting with '#' are
-ignored.
+Vertices are 0..n-1, and n is at most MAX_VERTICES.  Blank lines and
+lines starting with '#' are ignored.
 
 Embedding files:
     p embed <n> <dim> <beta>
@@ -16,6 +16,10 @@ Embedding files:
 import math
 
 from .graph import Embedding, OrderedGraph
+
+# parse_graph builds every vertex its header declares, so the header,
+# not the file size, would bound the work; a larger n fails at once
+MAX_VERTICES = 10**6
 
 
 class FormatError(ValueError):
@@ -48,6 +52,8 @@ def parse_graph(text):
                 raise FormatError(lineno, "n and m must be integers")
             if n < 0 or m < 0:
                 raise FormatError(lineno, "n and m must be nonnegative")
+            if n > MAX_VERTICES:
+                raise FormatError(lineno, "n = %d exceeds %d vertices" % (n, MAX_VERTICES))
         elif kind == "e":
             if n is None:
                 raise FormatError(lineno, "edge before the problem line")

@@ -168,8 +168,9 @@ class _Restrict:
     """A position where the strategy restricts: lo is the smallest live
     vertex, then its state, the strategy after the move, the move, the
     label table of its layering, the deduplicated covers as (residue,
-    intervals, the problem's masks per interval) and the child position
-    of each window used so far."""
+    intervals, the problem's masks per interval), the child position
+    of each window used so far and the child state of each kept vertex
+    set so far, keyed by its bits."""
 
     lo: int
     state: GameState
@@ -178,6 +179,7 @@ class _Restrict:
     table: object
     covers: list
     children: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict)
 
 
 class _LabelTable:
@@ -227,7 +229,8 @@ class _Search:
     (strategy, state) pair that first reached position i, until a node
     there calls expand, which plays the strategy once and leaves a
     _Delete or _Restrict record in its place.  The game's end has no
-    position: its id is None."""
+    position: its id is None, and the strategy does not observe the
+    move that reaches it."""
 
     __slots__ = ("deadline", "max_nodes", "prob", "nodes", "ids", "positions", "_index")
 
@@ -265,7 +268,7 @@ class _Search:
         action, strat = strat.next_action(state)
         if action.kind == DELETE:
             ns = apply_delete(state)
-            child = self.position(strat.observe(action, None, ns), ns)
+            child = self.position(strat.observe(action, None, ns), ns) if ns.graph.n else None
             rec = _Delete(lo, bits_of(g.adj[lo]), child)
         else:
             lam, head, r = action.layering, state.rseq.head, self.prob.radius
@@ -282,12 +285,20 @@ class _Search:
 
     def window_child(self, rec, window):
         """Id of the position after the preserver answers the Restrict
-        record rec with window."""
-        children = rec.children
-        if window not in children:
-            ns = _restricted(rec.state, rec.table.vertices(*window))
-            children[window] = self.position(rec.strat.observe(rec.action, window, ns), ns)
-        return children[window]
+        record rec with window.  Windows that keep the same vertices
+        share one child state; the strategy observes each window that
+        keeps any, since a strategy may read the window itself."""
+        child = rec.children.get(window, _MISS)
+        if child is _MISS:
+            bits = rec.table.bits(*window)
+            child = None  # a window that keeps nothing ends the game
+            if bits:
+                ns = rec.kept.get(bits)
+                if ns is None:
+                    ns = rec.kept[bits] = _restricted(rec.state, rec.table.vertices(*window))
+                child = self.position(rec.strat.observe(rec.action, window, ns), ns)
+            rec.children[window] = child
+        return child
 
     def tick(self):
         self.nodes += 1

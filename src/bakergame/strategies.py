@@ -19,7 +19,11 @@ levels, and a chain becomes its leaf once its top base is gone.
 state_id() numbers a strategy's memory within a StateIds table (equal
 numbers exactly for equal memory) and caches the number, which stays
 valid because an object's memory is fixed once a move returns it; the
-solvers' position table keys on it.
+solvers' position table keys on it.  Where the descriptor alone fixes
+config() (chordal and edgeless strategies, and the chains they build),
+the pickled config key comes from a process-wide table, made once per
+descriptor; a config holding a graph, partition or embedding is pickled
+once per object and never enters that table.
 
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
@@ -71,6 +75,7 @@ class DestroyerStrategy:
     descriptor = None
     _sid = None
     _config_key = None
+    _config_from_descriptor = False  # whether the descriptor alone fixes config()
 
     def next_action(self, state):
         raise NotImplementedError
@@ -108,10 +113,24 @@ class DestroyerStrategy:
         if cached is not None and cached[0] == ids.serial:
             return cached[1]
         if self._config_key is None:
-            self._config_key = pickle.dumps((self.descriptor, self.config()))
+            self._config_key = _config_key(self)
         sid = ids.number((type(self), self._config_key, self.state(ids)))
         self._sid = (ids.serial, sid)
         return sid
+
+
+_CONFIG_KEYS = {}  # descriptor -> pickle.dumps((descriptor, config()))
+
+
+def _config_key(strat):
+    """pickle.dumps((descriptor, config())) of strat, made once per
+    descriptor when the descriptor alone fixes config()."""
+    if not strat._config_from_descriptor:
+        return pickle.dumps((strat.descriptor, strat.config()))
+    key = _CONFIG_KEYS.get(strat.descriptor)
+    if key is None:
+        key = _CONFIG_KEYS[strat.descriptor] = pickle.dumps((strat.descriptor, strat.config()))
+    return key
 
 
 def _sub_id(sub, ids):
@@ -252,6 +271,7 @@ class EdgelessStrategy(DestroyerStrategy):
     per reply window), then delete."""
 
     descriptor = ChordalD(0)
+    _config_from_descriptor = True
 
     def __init__(self):
         self.phase = "restrict"
@@ -295,7 +315,9 @@ def _make_chain(lam, d):
     if len(layers) <= 1:
         return _build(leaf)
     desc = CliqueSumD(ChainD(d - 1, len(layers) - 1), leaf)
-    return CliqueSumStrategy(layers[:-1], _build(leaf), partial(_build, leaf), desc)
+    chain = CliqueSumStrategy(layers[:-1], _build(leaf), partial(_build, leaf), desc)
+    chain._config_from_descriptor = True  # the leaf factory is desc.leaf's
+    return chain
 
 
 class ChordalStrategy(DestroyerStrategy):
@@ -305,6 +327,8 @@ class ChordalStrategy(DestroyerStrategy):
     left-degree <= d-1.  The chain is the successor: once the levels are
     known, the move that builds it returns the chain itself, not a
     chordal strategy around it."""
+
+    _config_from_descriptor = True
 
     def __init__(self, d):
         if d < 1:

@@ -5,15 +5,23 @@ FormatError for graph and embedding files, SequenceError for sequence
 text and StrategyError for descriptor text.  The generators mix near
 valid input with junk and lean on the cases that once slipped through:
 nan and inf where numbers go, repeated edges, and deep nesting.  Numbers
-stay small, because parse_graph allocates its n vertices.
+stay small, because parse_graph allocates its n vertices; headers past
+MAX_VERTICES must fail at once.
 """
 
 import math
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bakergame.fileio import FormatError, parse_embedding, parse_graph, write_graph
+from bakergame.fileio import (
+    MAX_VERTICES,
+    FormatError,
+    parse_embedding,
+    parse_graph,
+    write_graph,
+)
 from bakergame.graph import Embedding
 from bakergame.sequences import SequenceError, parse_rseq
 from bakergame.strategies import MAX_NESTING, StrategyError, parse_descriptor
@@ -60,6 +68,27 @@ def test_parse_graph_raises_only_format_errors(text):
     # every edge line is one edge of the graph, so it writes back whole
     assert g.m == sum(1 for line in text.splitlines() if line.split()[:1] == ["e"])
     assert parse_graph(write_graph(g)) == g
+
+
+@FUZZ
+@given(
+    st.integers(MAX_VERTICES + 1, 10**12),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.lists(st.sampled_from(["# c", "e 0 1", "e 1 2", "a hit:0 0"]), max_size=3),
+)
+def test_parse_graph_refuses_huge_headers_at_once(n, m, comments, lines):
+    # the header alone fails, before any vertex is built, whatever
+    # follows it and whether or not m matches the edges
+    text = "\n".join(["# c"] * comments + ["p graph %d %d" % (n, m)] + lines)
+    t0 = time.perf_counter()
+    try:
+        parse_graph(text)
+    except FormatError as exc:
+        assert exc.lineno == comments + 1 and "exceeds" in str(exc)
+    else:
+        raise AssertionError("a header with %d vertices parsed" % n)
+    assert time.perf_counter() - t0 < 1.0
 
 
 @FUZZ

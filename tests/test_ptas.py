@@ -12,8 +12,9 @@ from hypothesis import strategies as hst
 from bakergame import ptas
 from bakergame.covers import Cover, margin, occupied_intervals
 from bakergame.generators import gen_grid, gen_ktree, gen_random_instance
-from bakergame.game import Action
+from bakergame.game import Action, GameState, parse_preserver, play
 from bakergame.graph import NotALayeringError, OrderedGraph
+from bakergame.sequences import ConstSeq
 from bakergame.strategies import DestroyerStrategy, QuotientStrategy, build_strategy
 
 
@@ -496,3 +497,106 @@ def test_deep_game_needs_no_deep_recursion():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["50", "True", "100"]
+
+
+def test_windows_keeping_one_vertex_set_share_a_child_state(monkeypatch):
+    # two windows of one Restrict record that keep the same vertices get
+    # the same GameState object, so its graph and bit set are built once
+    seen = {}  # (record, kept vertices) -> child states passed to position
+    current = [None]
+    window_child, position = ptas._Search.window_child, ptas._Search.position
+
+    def child(self, rec, window):
+        current[0] = rec
+        try:
+            return window_child(self, rec, window)
+        finally:
+            current[0] = None
+
+    def numbered(self, strat, state):
+        if current[0] is not None:
+            key = (id(current[0]), state.graph.vertex_set)
+            seen.setdefault(key, []).append(state)
+        return position(self, strat, state)
+
+    monkeypatch.setattr(ptas._Search, "window_child", child)
+    monkeypatch.setattr(ptas._Search, "position", numbered)
+    g2, st, _ = build_strategy("chordal:3", gen_ktree(20, 3, seed=1))
+    sol = ptas.solve_mis(ptas.ISInstance.full(g2), st, 2, memo=True)
+    assert sol.feasible
+    shared = [states for states in seen.values() if len(states) > 1]
+    assert shared  # some windows of one record keep the same vertices
+    assert all(s is states[0] for states in shared for s in states)
+
+
+def test_quotient_observes_each_window_once(monkeypatch):
+    # a quotient strategy reads the window itself, so the solver still
+    # observes every distinct window of a Restrict record, once, even
+    # where two windows keep the same vertices
+    calls = {}  # (strategy, window) -> observe calls
+    kept = {}  # strategy -> kept vertex sets of its windows
+    observe = QuotientStrategy.observe
+
+    def counted(self, action, reply, new_state):
+        if reply is not None:
+            calls[id(self), reply] = calls.get((id(self), reply), 0) + 1
+            kept.setdefault(id(self), []).append(new_state.graph.vertex_set)
+        return observe(self, action, reply, new_state)
+
+    monkeypatch.setattr(QuotientStrategy, "observe", counted)
+    g2, st, _ = build_strategy("quotient(chordal:2,2)", gen_ktree(12, 2, seed=3))
+    assert ptas.solve_mis(ptas.ISInstance.full(g2), st, 2, memo=True).feasible
+    assert calls and set(calls.values()) == {1}
+    assert any(len(set(sets)) < len(sets) for sets in kept.values())
+
+
+def test_solver_does_not_observe_the_games_end(monkeypatch):
+    # only the observes that the solver itself makes count, not those
+    # that composite strategies make inside
+    counts = {True: 0, False: 0}  # new graph empty -> solver observe calls
+    for cls in DestroyerStrategy.__subclasses__():
+        if "observe" not in cls.__dict__:
+            continue
+
+        def hooked(self, action, reply, new_state, _observe=cls.__dict__["observe"]):
+            if sys._getframe(1).f_globals["__name__"] == ptas.__name__:
+                counts[new_state.graph.n == 0] += 1
+            return _observe(self, action, reply, new_state)
+
+        monkeypatch.setattr(cls, "observe", hooked)
+    cases = [
+        ("chordal:3", gen_ktree(12, 3, seed=2)),
+        ("minorfree:5", gen_grid(3, 4)),
+        ("quotient(chordal:2,2)", gen_ktree(10, 2, seed=3)),
+    ]
+    for text, g in cases:
+        g2, st, _ = build_strategy(text, g)
+        for problem, solve in _SOLVERS.items():
+            inst = gen_random_instance(problem, g2, seed=0)
+            sol = solve(inst, st.fork(), 2, memo=True)
+            assert ptas.verify_solution(problem, inst, sol)
+    assert counts[True] == 0 and counts[False] > 0
+
+
+class _FailsAtTheEnd(DestroyerStrategy):
+    """Deletes; observing the empty graph is an error."""
+
+    def state(self, ids):
+        return ()
+
+    def next_action(self, state):
+        return Action.delete(), self
+
+    def observe(self, action, reply, new_state):
+        if new_state.graph.n == 0:
+            raise RuntimeError("observed the empty graph")
+        return self
+
+
+def test_play_still_observes_the_last_move():
+    g = path(4)
+    t = play(_FailsAtTheEnd(), parse_preserver("first"), GameState(g, ConstSeq(1)))
+    assert t.outcome == "invalid" and "observed the empty graph" in t.diagnostic
+    # the solver never makes that call
+    sol = ptas.solve_mis(ptas.ISInstance.full(g), _FailsAtTheEnd(), 2, memo=True)
+    assert sol.size == 2 and ptas.verify_solution("mis", ptas.ISInstance.full(g), sol)

@@ -1,6 +1,9 @@
+import dataclasses
+import functools
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -448,7 +451,8 @@ def test_chain_hands_over_to_its_leaf():
 def test_hand_over_saves_strategy_copies(monkeypatch):
     # a chain whose base is gone is replaced by its leaf, and a chordal
     # strategy by its chain, instead of wrapping them: no level copies
-    # itself only to hold a changed sub-strategy
+    # itself only to hold a changed sub-strategy; and the solver does not
+    # observe the Delete that ends a game, so that move forks nothing
     calls = [0]
     fork = DestroyerStrategy.fork
 
@@ -460,7 +464,80 @@ def test_hand_over_saves_strategy_copies(monkeypatch):
     monkeypatch.setattr(DestroyerStrategy, "fork", counted)
     sol = ptas.solve_mis(ptas.ISInstance.full(g2), st, 2, memo=True)
     assert sol.feasible
-    assert calls[0] == 68
+    assert calls[0] == 65
+
+
+def test_config_keys_pickle_the_descriptor_and_config(monkeypatch):
+    # every strategy object that solves with the criterion-3 descriptors
+    # number, sub-strategies included
+    seen = {}
+    state_id = DestroyerStrategy.state_id
+
+    def numbered(self, ids):
+        seen[id(self)] = self
+        return state_id(self, ids)
+
+    monkeypatch.setattr(DestroyerStrategy, "state_id", numbered)
+    h, edgeless = gen_ktree(9, 2, seed=5), OrderedGraph(range(4))
+    cases = [(edgeless, "edgeless"), (gen_grid(3, 4), "minorfree:5")]
+    cases += [(h, text) for text in ("chordal:2", "cliquesum(chordal:2,chordal:2)",
+                                     "quotient(chordal:2,2)")]
+    built = [build_strategy(text, g)[:2] for g, text in cases]
+    dg, emb = gen_diag_grid(2)
+    built.append((dg, DistortionStrategy(emb)))
+    for g, st in built:
+        for k in (2, 3):
+            assert ptas.solve_mis(ptas.ISInstance.full(g), st, k, memo=True).feasible
+    monkeypatch.undo()
+    kinds = {type(s) for s in seen.values()}
+    assert kinds >= {EdgelessStrategy, ChordalStrategy, CliqueSumStrategy}
+    assert kinds >= {QuotientStrategy, DistortionStrategy}
+    for s in seen.values():
+        assert s._config_key == pickle.dumps((s.descriptor, s.config()))
+    # a key that the descriptor fixes is made once per process
+    ids = ptas.StateIds()
+    for make in (lambda: ChordalStrategy(2), EdgelessStrategy):
+        a, b = make(), make()
+        a.state_id(ids), b.state_id(ids)
+        assert a._config_key is b._config_key
+
+
+def _holds(value, kinds):
+    """Whether value holds an instance of kinds, looking through tuples,
+    lists, dicts, partials and dataclass fields."""
+    if isinstance(value, kinds):
+        return True
+    if isinstance(value, (tuple, list, frozenset, set)):
+        parts = list(value)
+    elif isinstance(value, dict):
+        parts = list(value.items())
+    elif isinstance(value, functools.partial):
+        parts = [value.func, value.args, value.keywords]
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    else:
+        return False
+    return any(_holds(p, kinds) for p in parts)
+
+
+def test_config_key_table_holds_no_graph():
+    # configs with a graph, partition or embedding are pickled per object
+    # and never enter the process-wide table
+    h = gen_ktree(9, 2, seed=5)
+    cases = [
+        (h, "cliquesum(chordal:2,chordal:2)"),
+        (h, "cliquesum(chordal:2,quotient(chordal:2,2))"),
+        (gen_grid(3, 4), "minorfree:5"),
+    ]
+    for g, text in cases:
+        g2, st, _ = build_strategy(text, g)
+        assert ptas.solve_mis(ptas.ISInstance.full(g2), st, 2, memo=True).feasible
+    table = strategies._CONFIG_KEYS
+    assert table
+    kinds = (OrderedGraph, GeodesicPartition, Embedding)
+    for desc, key in table.items():
+        assert not _holds(desc, kinds)
+        assert not _holds(pickle.loads(key), kinds)
 
 
 def test_fork_independence():
