@@ -81,27 +81,21 @@ def legal_replies(state, layering):
     vertex set they keep (first start wins).
 
     The start range is walked via the label positions where the kept
-    set changes, so huge heads cost nothing.  Kept sets are slices of
-    the vertices sorted by label.
+    set changes (each vertex label, as a window's first or last), so
+    huge heads cost nothing and every window keeps a vertex.  Kept sets
+    are slices of the vertices sorted by label.
     """
     require_layering(state.graph, layering, "proposed layering")
     head = state.rseq.head
-    labels = sorted(set(layering.values()))
-    lo, hi = labels[0], labels[-1]
-    starts = set()
-    for lab in labels:
-        for s in (lab, lab - head + 1):
-            if lo - head + 1 <= s <= hi:
-                starts.add(s)
-    starts.add(lo - head + 1)
     order = sorted(state.graph.vertices, key=layering.__getitem__)
     keys = [layering[v] for v in order]
+    labels = set(keys)
     out = []
     seen = set()
-    for s in sorted(starts):
+    for s in sorted(labels | {lab - head + 1 for lab in labels}):
         iv = (s, s + head - 1)
         kept = frozenset(order[bisect_left(keys, s) : bisect_right(keys, iv[1])])
-        if kept and kept not in seen:
+        if kept not in seen:
             seen.add(kept)
             out.append((iv, kept))
     return out
@@ -284,7 +278,8 @@ def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET, stats=None):
     no deep recursion.  Each reply's state is built from the kept set
     legal_replies returns when the walk reaches it, so every proposed
     layering is checked once, and replies past the saturation cut-off
-    are not built.
+    are not built.  As in the solvers, the strategy does not observe the
+    Delete that empties the graph; play does.
     """
     states, stack = 0, []  # frames [strategy, state, action, replies, worst, remaining, run]
     strat, st, remaining, run = strategy, state, cap, 0  # run: Deletes since the last Restrict
@@ -299,7 +294,8 @@ def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET, stats=None):
             action, strat = strat.next_action(st)
             if action.kind == DELETE:
                 ns = apply_delete(st)
-                strat, st, remaining, run = strat.observe(action, None, ns), ns, remaining - 1, run + 1
+                strat = strat.observe(action, None, ns) if ns.graph.n else strat
+                st, remaining, run = ns, remaining - 1, run + 1
                 continue
             stack.append([strat, st, action, iter(legal_replies(st, action.layering)), 0, remaining, run])
             val = None

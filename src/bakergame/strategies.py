@@ -19,11 +19,10 @@ levels, and a chain becomes its leaf once its top base is gone.
 state_id() numbers a strategy's memory within a StateIds table (equal
 numbers exactly for equal memory) and caches the number, which stays
 valid because an object's memory is fixed once a move returns it; the
-solvers' position table keys on it.  Where the descriptor alone fixes
-config() (chordal and edgeless strategies, and the chains they build),
-the pickled config key comes from a process-wide table, made once per
-descriptor; a config holding a graph, partition or embedding is pickled
-once per object and never enters that table.
+solvers' position table keys on it.  The number is that of (class,
+descriptor, state): every strategy of one search comes from one
+build_strategy call on one graph and embedding, so its descriptor fixes
+the partition, embedding and leaf it plays with.
 
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
@@ -38,10 +37,8 @@ descriptor.
 """
 
 import math
-import pickle
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 from .game import Action, GameState, DELETE
 from .graph import (
@@ -56,7 +53,7 @@ from .graph import (
     bfs_layering,
     validate_embedding,
 )
-from .sequences import INDEX_LIMIT, SequenceError, ThinnedSeq
+from .sequences import INDEX_LIMIT, ConstSeq, SequenceError, ThinnedSeq
 
 
 class StrategyError(RuntimeError):
@@ -68,14 +65,12 @@ class DestroyerStrategy:
     (action, successor) and observe(action, reply, new_state) the
     successor; neither assigns an attribute of self outside __init__.
     A changing move rebinds attributes of self.fork() instead.
-    descriptor and config() give what stays fixed for the object's
-    lifetime (pickled once, together) and state(ids) a hashable value of
-    the rest, with sub-strategies given by their state_id."""
+    descriptor fixes what stays the same for the object's lifetime, and
+    state(ids) is a hashable value of the rest, with sub-strategies
+    given by their state_id."""
 
     descriptor = None
     _sid = None
-    _config_key = None
-    _config_from_descriptor = False  # whether the descriptor alone fixes config()
 
     def next_action(self, state):
         raise NotImplementedError
@@ -100,37 +95,21 @@ class DestroyerStrategy:
         setattr(clone, name, value)
         return clone
 
-    def config(self):
-        return ()
-
     def state(self, ids):
         raise NotImplementedError
 
     def state_id(self, ids):
         """Number of this strategy's memory in ids, a ptas.StateIds
-        table."""
+        table: that of (class, descriptor, state).  All strategies
+        numbered in one table must come from one build_strategy call, so
+        that equal descriptors mean equal partitions, embeddings and
+        leaves."""
         cached = self._sid
         if cached is not None and cached[0] == ids.serial:
             return cached[1]
-        if self._config_key is None:
-            self._config_key = _config_key(self)
-        sid = ids.number((type(self), self._config_key, self.state(ids)))
+        sid = ids.number((type(self), self.descriptor, self.state(ids)))
         self._sid = (ids.serial, sid)
         return sid
-
-
-_CONFIG_KEYS = {}  # descriptor -> pickle.dumps((descriptor, config()))
-
-
-def _config_key(strat):
-    """pickle.dumps((descriptor, config())) of strat, made once per
-    descriptor when the descriptor alone fixes config()."""
-    if not strat._config_from_descriptor:
-        return pickle.dumps((strat.descriptor, strat.config()))
-    key = _CONFIG_KEYS.get(strat.descriptor)
-    if key is None:
-        key = _CONFIG_KEYS[strat.descriptor] = pickle.dumps((strat.descriptor, strat.config()))
-    return key
 
 
 def _sub_id(sub, ids):
@@ -209,7 +188,9 @@ def round_bound(desc, r):
     OverflowError.  Within one call, each chordal degree is bounded once
     per sequence object.  A constant sequence is its own tail and
     pairing, so on const:c a chordal degree d costs polynomially in d,
-    not c ** d.  The recursion takes two frames per degree.
+    not c ** d.  Thinned by a quotient of width d, const:c is const:c
+    read at every (d*c + 1)-th index, so a quotient over a constant
+    costs one inner bound.  The recursion takes two frames per degree.
     """
     chordal = {}  # (d, id(seq)) -> (bound, seq); holding seq keeps its id
 
@@ -248,6 +229,8 @@ def round_bound(desc, r):
         if isinstance(desc, CliqueSumD):
             return glue(bound(desc.base, r.paired()), desc.leaf, r)
         if isinstance(desc, QuotientD):
+            if isinstance(r, ConstSeq):
+                return (desc.d * r.c + 1) * bound(desc.inner, r)
             th = ThinnedSeq(r, desc.d)
             return th.index(bound(desc.inner, th))
         if isinstance(desc, DistortionD):
@@ -271,7 +254,6 @@ class EdgelessStrategy(DestroyerStrategy):
     per reply window), then delete."""
 
     descriptor = ChordalD(0)
-    _config_from_descriptor = True
 
     def __init__(self):
         self.phase = "restrict"
@@ -306,18 +288,17 @@ def _make_chain(lam, d):
     induce a chordal piece of left-degree <= d-1, every lower prefix
     acting as a clique-sum base for the components above it: one
     CliqueSumStrategy with a frame per level but the last, over a
-    ChordalD(d-1) strategy for the first level."""
+    ChordalD(d-1) strategy for the first level that is also its leaf."""
     levels = {}
     for v, lab in lam.items():
         levels.setdefault(lab, []).append(v)
     layers = [levels[lab] for lab in sorted(levels)]
     leaf = ChordalD(d - 1)
+    bottom = _build(leaf)
     if len(layers) <= 1:
-        return _build(leaf)
+        return bottom
     desc = CliqueSumD(ChainD(d - 1, len(layers) - 1), leaf)
-    chain = CliqueSumStrategy(layers[:-1], _build(leaf), partial(_build, leaf), desc)
-    chain._config_from_descriptor = True  # the leaf factory is desc.leaf's
-    return chain
+    return CliqueSumStrategy(layers[:-1], bottom, bottom, desc)
 
 
 class ChordalStrategy(DestroyerStrategy):
@@ -327,8 +308,6 @@ class ChordalStrategy(DestroyerStrategy):
     left-degree <= d-1.  The chain is the successor: once the levels are
     known, the move that builds it returns the chain itself, not a
     chordal strategy around it."""
-
-    _config_from_descriptor = True
 
     def __init__(self, d):
         if d < 1:
@@ -387,13 +366,13 @@ class CliqueSumStrategy(DestroyerStrategy):
     len(layers).  Frame i plays on the live vertices of rank <= i with
     base those of rank < i: it alternates a componentwise Restrict with
     one simulated move of frame i - 1 on its base, and once the base is
-    gone a fresh leaf_factory() strategy plays for it.  Frame 0 has no
-    base; bottom is its leaf.  Once the top frame's base is gone, the
-    leaf's game is the whole game: the move is a fresh leaf's, and that
-    leaf is the successor, so the top frame never holds a leaf.  All
-    strategies here read the sequence from the state, so no alignment
-    padding is needed before a handover.  descriptor is the top frame's
-    CliqueSumD.
+    gone the fresh strategy leaf plays for it (a value, so one leaf
+    serves every frame).  Frame 0 has no base; bottom is its leaf.  Once
+    the top frame's base is gone, the leaf's game is the whole game: the
+    move is the fresh leaf's, and its successor is the successor, so the
+    top frame never holds a leaf.  All strategies here read the sequence
+    from the state, so no alignment padding is needed before a handover.
+    descriptor is the top frame's CliqueSumD.
 
     A frame is a tuple (live, sim_rseq, j, phase, pending, leaf,
     exhausted): the vertex set it last saw a move on, its simulation's
@@ -403,18 +382,15 @@ class CliqueSumStrategy(DestroyerStrategy):
     at each; one union-find sweep in rank order tells which of the nested
     frame graphs are connected."""
 
-    def __init__(self, layers, bottom, leaf_factory, descriptor):
+    def __init__(self, layers, bottom, leaf, descriptor):
         self.layers = tuple(frozenset(layer) for layer in layers)
         self.rank = {v: i for i, layer in enumerate(self.layers) for v in layer}
         live = frozenset(self.rank)
         self.frames = ((live, None, 0, "spread", None, bottom, False),) + (
             (live, None, 0, "spread", None, None, False),
         ) * len(layers)
-        self.leaf_factory = leaf_factory
+        self.leaf = leaf
         self.descriptor = descriptor
-
-    def config(self):
-        return self.leaf_factory
 
     def state(self, ids):
         below, keys = frozenset(), []  # frame i's base is live & below
@@ -475,7 +451,7 @@ class CliqueSumStrategy(DestroyerStrategy):
             if low >= top:
                 # the top frame's base is gone: a fresh leaf plays the
                 # rest of the game, and is the successor
-                return self.leaf_factory().next_action(state)
+                return self.leaf.next_action(state)
         frames, a = list(self.frames), None
         rseq, rnd = state.rseq, state.round  # what frame i reads
         try:
@@ -499,7 +475,7 @@ class CliqueSumStrategy(DestroyerStrategy):
                 rseq, rnd = sim.tail(j), j
             if a is None:  # frame i's leaf moves
                 catch = i + 1
-                leaf = leaf or self.leaf_factory()
+                leaf = leaf or self.leaf
                 a, leaf = leaf.next_action(GameState(self._graph(g, i), rseq, rnd))
                 frames[i] = (live, sim, j, phase, pending, leaf, exhausted)
         except SequenceError:
@@ -573,10 +549,6 @@ class QuotientStrategy(DestroyerStrategy):
         self.padding = 0
         self.pending = None
         self.exhausted = False
-
-    def config(self):
-        # part_of is derived from gp, d from descriptor
-        return self.gp
 
     def state(self, ids):
         return (
@@ -655,9 +627,6 @@ class DistortionStrategy(DestroyerStrategy):
         self.axis = 0
         self.heads = ()
         self.checked = False
-
-    def config(self):
-        return self.emb
 
     def state(self, ids):
         return (self.axis, self.heads, self.checked)
@@ -927,9 +896,8 @@ def _build(desc, graph=None, embedding=None):
     if isinstance(desc, DistortionD):
         return DistortionStrategy(embedding)
     if isinstance(desc, CliqueSumD):
-        inner = _build(desc.base, graph, embedding)
-        leaf_factory = partial(_build, desc.leaf, graph, embedding)
-        return CliqueSumStrategy((graph.vertex_set,), inner, leaf_factory, desc)
+        base, leaf = (_build(d, graph, embedding) for d in (desc.base, desc.leaf))
+        return CliqueSumStrategy((graph.vertex_set,), base, leaf, desc)
     if isinstance(desc, QuotientD):
         # the trivial partition: every vertex is its own part
         parts = tuple(frozenset([v]) for v in graph.vertices)

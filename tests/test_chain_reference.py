@@ -274,11 +274,8 @@ class Flaky(DestroyerStrategy):
     def __init__(self, inner, fail):
         self.inner, self.fail, self.calls = inner, fail, 0
 
-    def config(self):
-        return (self.fail,)
-
     def state(self, ids):
-        return (self.calls, self.inner.state_id(ids))
+        return (self.fail, self.calls, self.inner.state_id(ids))
 
     def _step(self):
         if self.calls + 1 == self.fail:
@@ -329,10 +326,10 @@ def test_give_ups_like_the_nested_chain():
         desc = CliqueSumD(ChainD(d - 1, len(layers) - 1), ChordalD(d - 1))
         for fail_bottom, fail_leaf in ((1, 0), (2, 0), (3, 0), (5, 0), (0, 1), (0, 2), (0, 3), (4, 2)):
             def pair():
-                leaves = partial(flaky_leaf, d - 1, fail_leaf)
                 bottom = flaky_leaf(d - 1, fail_bottom)
-                flat = strategies.CliqueSumStrategy(layers[:-1], bottom, leaves, desc)
-                return flat, nested_chain(lam, d, bottom, leaves)
+                leaf = flaky_leaf(d - 1, fail_leaf)
+                flat = strategies.CliqueSumStrategy(layers[:-1], bottom, leaf, desc)
+                return flat, nested_chain(lam, d, bottom, partial(flaky_leaf, d - 1, fail_leaf))
 
             for r in (ConstSeq(1), ConstSeq(2), ConstSeq(9), Brittle(1, 3), Brittle(2, 9)):
                 for pres in ("max", "first", "random:5"):

@@ -22,7 +22,7 @@ from bakergame.game import (
 from bakergame.generators import gen_grid, gen_ktree
 from bakergame.graph import OrderedGraph
 from bakergame.sequences import ConstSeq
-from bakergame.strategies import EdgelessStrategy, build_strategy
+from bakergame.strategies import EdgelessStrategy, StrategyError, build_strategy
 
 
 def path(n):
@@ -190,6 +190,26 @@ def test_minimax_values_and_states_pinned(name, c, rounds, states):
     stats = {}
     assert minimax_rounds(strat, GameState(g, ConstSeq(c)), stats=stats) == rounds
     assert stats == {"states": states}
+
+
+class FailsAtTheEnd(EdgelessStrategy):
+    """The edgeless strategy, but its observe of the move that empties
+    the graph raises."""
+
+    def observe(self, action, reply, new_state):
+        if new_state.finished:
+            raise StrategyError("observed the game's end")
+        return super().observe(action, reply, new_state)
+
+
+def test_minimax_does_not_observe_the_games_end():
+    # like the solvers, minimax skips the observe of the Delete that
+    # empties the graph, so this strategy gets a value; play makes that
+    # observe, so the same strategy ends invalid there
+    state = GameState(OrderedGraph(range(3), []), ConstSeq(1))
+    assert minimax_rounds(FailsAtTheEnd(), state) == minimax_rounds(EdgelessStrategy(), state) == 2
+    t = play(FailsAtTheEnd(), parse_preserver("max"), state)
+    assert (t.outcome, t.diagnostic) == ("invalid", "strategy error: observed the game's end")
 
 
 def test_minimax_checks_each_layering_once(monkeypatch):

@@ -33,11 +33,8 @@ from bakergame.graph import (
     validate_embedding,
 )
 from bakergame.generators import gen_grid, gen_ktree
-from bakergame.ptas import StateIds
 from bakergame.strategies import (
-    ChordalStrategy,
     MinorWitness,
-    QuotientStrategy,
     build_strategy,
     chordal_geodesic_partition,
 )
@@ -420,18 +417,15 @@ def _count_partition_scans(monkeypatch):
     return scans
 
 
-def test_remembered_verdicts_stay_out_of_pickles_and_config_keys():
+def test_remembered_verdicts_stay_out_of_pickles():
     g2, strat, _ = build_strategy("minorfree:5", gen_grid(4, 4))
     gp, h = strat.gp, strat.gp.quotient_graph
-    strat.state_id(StateIds())
-    before = (pickle.dumps(g2), pickle.dumps(h), strat._config_key)
+    before = (pickle.dumps(g2), pickle.dumps(h))
     g2.vertex_bits()
     assert check_chordal_ordering(h) == (True, 3)
     assert check_geodesic_partition(g2, gp, strat.d)
     assert g2._partition and h._chordal
-    later = QuotientStrategy(ChordalStrategy(strat.d), gp, strat.descriptor)
-    later.state_id(StateIds())
-    assert (pickle.dumps(g2), pickle.dumps(h), later._config_key) == before
+    assert (pickle.dumps(g2), pickle.dumps(h)) == before
     clone = pickle.loads(pickle.dumps(g2))
     assert clone == g2 and clone._chordal is None and clone._partition is None
 

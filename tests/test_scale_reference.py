@@ -2,15 +2,19 @@
 oracles, checked against exact references: the greedy along a perfect
 elimination order for independent sets, and 0/1 programs solved by
 scipy.optimize.milp for dominating sets and 2-colourable subgraphs.
-The library itself never imports scipy."""
+The library itself never imports scipy.  Minimax round counts on
+graphs with a few hundred vertices stay within round_bound."""
 
 import numpy as np
+import pytest
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import lil_matrix
 
 from bakergame import ptas
-from bakergame.generators import gen_ktree
-from bakergame.strategies import build_strategy
+from bakergame.game import GameState, minimax_rounds
+from bakergame.generators import gen_apex_grid, gen_grid, gen_ktree
+from bakergame.sequences import ConstSeq
+from bakergame.strategies import build_strategy, round_bound
 
 K = 2
 
@@ -77,3 +81,22 @@ def test_ccolorable_on_a_200_vertex_3tree_keeps_its_guarantee():
     rows += [[col[u, a], col[w, a]] for u, w in g2.edge_list() for a in range(colors)]
     opt = _milp_optimum(len(col), rows, -np.inf, 1, maximize=True)
     assert sol.size * K >= (K - 1) * opt, (sol.size, opt)
+
+
+@pytest.mark.parametrize(
+    "text, graph, rounds",
+    [
+        pytest.param("chordal:2", lambda: gen_ktree(256, 2), (5, 12), id="2-tree-256"),
+        pytest.param("chordal:3", lambda: gen_ktree(256, 3), (7, 15), id="3-tree-256"),
+        pytest.param("minorfree:5", lambda: gen_grid(16, 16), (14, 46), id="grid-16x16"),
+        pytest.param("minorfree:6", lambda: gen_apex_grid(15), (22, 67), id="apexgrid-15"),
+    ],
+)
+def test_minimax_rounds_stay_within_the_bound_at_scale(text, graph, rounds):
+    # the paper's round count depends on the sequence, not on n: the
+    # worst case over all canonical replies meets round_bound at const:1
+    # and const:2 on graphs with about 250 vertices
+    g2, strat, _ = build_strategy(text, graph())
+    for c, want in zip((1, 2), rounds):
+        value = minimax_rounds(strat, GameState(g2, ConstSeq(c)))
+        assert value == want <= round_bound(strat.descriptor, ConstSeq(c)), (text, c)

@@ -63,10 +63,10 @@ def test_one_descriptor_grammar():
 
 def test_strategy_moves_assign_nothing_on_self():
     # strategies are values: outside __init__ a method rebinds attributes
-    # of a copy, never of self.  The state number caches in the base
-    # class's state_id are the only exception.
+    # of a copy, never of self.  The state number cache in the base
+    # class's state_id is the only exception.
     path = pathlib.Path(bakergame.__file__).parent / "strategies.py"
-    allowed = {("DestroyerStrategy", "state_id", name) for name in ("_sid", "_config_key")}
+    allowed = {("DestroyerStrategy", "state_id", "_sid")}
     found = []
     for cls in ast.parse(path.read_text(), str(path)).body:
         if not isinstance(cls, ast.ClassDef):

@@ -1,9 +1,6 @@
-import dataclasses
-import functools
 import hashlib
 import json
 import os
-import pickle
 import re
 import subprocess
 import sys
@@ -35,7 +32,14 @@ from bakergame.graph import (
     check_geodesic_partition,
     quotient,
 )
-from bakergame.sequences import ConstSeq, ScheduleSeq, SequenceError
+from bakergame.sequences import (
+    INDEX_LIMIT,
+    ConstSeq,
+    GeomSeq,
+    ScheduleSeq,
+    SequenceError,
+    ThinnedSeq,
+)
 from bakergame.strategies import (
     ChainD,
     ChordalD,
@@ -108,12 +112,26 @@ def test_round_bound_recursion_stays_two_frames_per_degree():
 
 
 def test_round_bound_refuses_huge_thinned_indices():
-    # minorfree:3 at const:28 needs the thinned index of a 28-level
-    # chain bound, about 6.7e8, past INDEX_LIMIT: it fails fast instead
+    # minorfree:3 at geom:28,1.001 needs the thinned index of a 29-level
+    # chain bound, about 1.3e9, past INDEX_LIMIT: it fails fast instead
     # of walking the index one step at a time
     t0 = time.monotonic()
     with pytest.raises(SequenceError):
-        round_bound(MinorFreeD(3), ConstSeq(28))
+        round_bound(MinorFreeD(3), GeomSeq(28.0, 1.001))
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_round_bound_of_a_quotient_over_a_constant_is_closed_form():
+    # thinned, const:c is const:c read at every (d*c + 1)-th index: the
+    # bound is the thinned index's where that is computable, and stays
+    # finite where the index passes INDEX_LIMIT
+    for c in (1, 2, 3):
+        for k in (3, 4, 5, 6):
+            inner = round_bound(ChordalD(k - 2), ConstSeq(c))
+            assert round_bound(MinorFreeD(k), ConstSeq(c)) == ThinnedSeq(ConstSeq(c), k - 2).index(inner)
+    t0 = time.monotonic()
+    assert round_bound(MinorFreeD(3), ConstSeq(28)) == 29 * round_bound(ChordalD(1), ConstSeq(28))
+    assert round_bound(MinorFreeD(14), ConstSeq(3)) > INDEX_LIMIT
     assert time.monotonic() - t0 < 1.0
 
 
@@ -312,6 +330,7 @@ def test_atlas_minimax_values_and_states_pinned():
     # minimax values and states of chordal, clique-sum, quotient and
     # minorfree strategies on the atlas graphs with 1 to 6 vertices, as
     # measured before one-vertex pieces took the edgeless move directly
+    # and before minimax stopped observing the Delete that ends the game
     rows = []
     for G in nx.graph_atlas_g()[1:]:
         if G.number_of_nodes() > 6:
@@ -438,7 +457,7 @@ def test_chain_hands_over_to_its_leaf():
             action, strat = strat.next_action(state)
             if chain is not None and not state.graph.vertex_set & frozenset().union(*chain.layers):
                 handovers += 1
-                assert type(strat) is type(chain.leaf_factory()) is EdgelessStrategy
+                assert type(strat) is type(chain.leaf) is EdgelessStrategy
             if action.kind == DELETE:
                 reply, new = None, apply_delete(state)
             else:
@@ -467,77 +486,37 @@ def test_hand_over_saves_strategy_copies(monkeypatch):
     assert calls[0] == 65
 
 
-def test_config_keys_pickle_the_descriptor_and_config(monkeypatch):
-    # every strategy object that solves with the criterion-3 descriptors
-    # number, sub-strategies included
-    seen = {}
-    state_id = DestroyerStrategy.state_id
-
-    def numbered(self, ids):
-        seen[id(self)] = self
-        return state_id(self, ids)
-
-    monkeypatch.setattr(DestroyerStrategy, "state_id", numbered)
-    h, edgeless = gen_ktree(9, 2, seed=5), OrderedGraph(range(4))
-    cases = [(edgeless, "edgeless"), (gen_grid(3, 4), "minorfree:5")]
-    cases += [(h, text) for text in ("chordal:2", "cliquesum(chordal:2,chordal:2)",
-                                     "quotient(chordal:2,2)")]
-    built = [build_strategy(text, g)[:2] for g, text in cases]
-    dg, emb = gen_diag_grid(2)
-    built.append((dg, DistortionStrategy(emb)))
-    for g, st in built:
-        for k in (2, 3):
-            assert ptas.solve_mis(ptas.ISInstance.full(g), st, k, memo=True).feasible
-    monkeypatch.undo()
-    kinds = {type(s) for s in seen.values()}
-    assert kinds >= {EdgelessStrategy, ChordalStrategy, CliqueSumStrategy}
-    assert kinds >= {QuotientStrategy, DistortionStrategy}
-    for s in seen.values():
-        assert s._config_key == pickle.dumps((s.descriptor, s.config()))
-    # a key that the descriptor fixes is made once per process
-    ids = ptas.StateIds()
-    for make in (lambda: ChordalStrategy(2), EdgelessStrategy):
-        a, b = make(), make()
-        a.state_id(ids), b.state_id(ids)
-        assert a._config_key is b._config_key
+# (nodes, positions) of memo solves at k = 2 on full instances, for mis,
+# domset and ccolorable, as the strategies numbered their memories by
+# pickled (descriptor, config) keys: numbering by descriptor must neither
+# merge nor split a position
+_KEYED_BY_DESCRIPTOR = [
+    ("cliquesum(chordal:2,quotient(chordal:2,2))", [(335, 12), (888, 12), (149, 12)]),
+    ("cliquesum(quotient(chordal:2,1),quotient(chordal:2,1))", [(539, 36), (1892, 36), (349, 36)]),
+    ("quotient(quotient(chordal:2,1),1)", [(113, 31), (189, 31), (421, 31)]),
+    ("distortion", [(330, 83), (620, 83), (470, 83)]),
+]
 
 
-def _holds(value, kinds):
-    """Whether value holds an instance of kinds, looking through tuples,
-    lists, dicts, partials and dataclass fields."""
-    if isinstance(value, kinds):
-        return True
-    if isinstance(value, (tuple, list, frozenset, set)):
-        parts = list(value)
-    elif isinstance(value, dict):
-        parts = list(value.items())
-    elif isinstance(value, functools.partial):
-        parts = [value.func, value.args, value.keywords]
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
-        parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
-    else:
-        return False
-    return any(_holds(p, kinds) for p in parts)
+@pytest.mark.parametrize("text, want", _KEYED_BY_DESCRIPTOR, ids=[t for t, _ in _KEYED_BY_DESCRIPTOR])
+def test_positions_numbered_by_descriptor_are_pinned(monkeypatch, text, want):
+    searches = []
 
+    class Recorded(ptas._Search):
+        __slots__ = ()
 
-def test_config_key_table_holds_no_graph():
-    # configs with a graph, partition or embedding are pickled per object
-    # and never enter the process-wide table
-    h = gen_ktree(9, 2, seed=5)
-    cases = [
-        (h, "cliquesum(chordal:2,chordal:2)"),
-        (h, "cliquesum(chordal:2,quotient(chordal:2,2))"),
-        (gen_grid(3, 4), "minorfree:5"),
-    ]
-    for g, text in cases:
-        g2, st, _ = build_strategy(text, g)
-        assert ptas.solve_mis(ptas.ISInstance.full(g2), st, 2, memo=True).feasible
-    table = strategies._CONFIG_KEYS
-    assert table
-    kinds = (OrderedGraph, GeodesicPartition, Embedding)
-    for desc, key in table.items():
-        assert not _holds(desc, kinds)
-        assert not _holds(pickle.loads(key), kinds)
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(ptas, "_Search", Recorded)
+    g, emb = gen_diag_grid(3) if text == "distortion" else (gen_ktree(10, 2, seed=1), None)
+    g2, st, _ = build_strategy(text, g, emb)
+    insts = (ptas.ISInstance.full(g2), ptas.DomSetInstance.full(g2), ptas.ColorInstance.full(g2, 2))
+    solvers = (ptas.solve_mis, ptas.solve_domset, ptas.solve_ccolorable)
+    for solve, inst in zip(solvers, insts):
+        assert solve(inst, st, 2, memo=True).feasible
+    assert [(s.nodes, len(s.positions)) for s in searches] == want
 
 
 def test_fork_independence():
