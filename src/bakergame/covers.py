@@ -42,10 +42,9 @@ def margin(interval, d):
     return (lo + d, hi - d)
 
 
-def occupied_intervals(cover, lam):
-    """Intervals of the cover containing at least one label of lam; a
-    start whose interval misses the next label (a bisect) jumps to it."""
-    labels = sorted(set(lam.values()))
+def occupied_intervals(cover, labels):
+    """Intervals of the cover holding one of the sorted distinct labels;
+    a start whose interval misses the next label (a bisect) jumps to it."""
     if not labels:
         return []
     ell, step = cover.ell, cover.step

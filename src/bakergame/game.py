@@ -10,8 +10,11 @@ when the graph is empty.
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import or_
 
-from .graph import OrderedGraph, require_layering
+from .graph import GraphError, OrderedGraph, bits_of, require_layering
+from .sequences import SequenceError
 
 
 class GameError(ValueError):
@@ -57,17 +60,43 @@ def apply_delete(state):
     return GameState(state.graph.delete_smallest(), state.rseq.tail(1), state.round + 1)
 
 
+class LabelTable:
+    """A proposed layering of a graph, checked on construction: the
+    graph's vertices in label order, their labels (keys) and the sorted
+    distinct labels.  A label window's vertices cost two bisects; so do
+    their bits, from prefix ORs that the first bits call builds."""
+
+    __slots__ = ("order", "keys", "labels", "_prefix")
+
+    def __init__(self, graph, lam):
+        require_layering(graph, lam, "proposed layering")
+        self.order = sorted(graph.vertices, key=lam.__getitem__)
+        self.keys = [lam[v] for v in self.order]
+        self.labels = sorted(set(self.keys))
+        self._prefix = None
+
+    def vertices(self, lo, hi):
+        return self.order[bisect_left(self.keys, lo) : bisect_right(self.keys, hi)]
+
+    def bits(self, lo, hi):
+        labels, prefix = self.labels, self._prefix
+        if prefix is None:
+            runs = [bits_of(self.vertices(lab, lab)) for lab in labels]
+            prefix = self._prefix = list(accumulate(runs, or_, initial=0))
+        return prefix[bisect_right(labels, hi)] & ~prefix[bisect_left(labels, lo)]
+
+
 def apply_restrict(state, layering, interval):
     """Preserver chose interval (lo, hi); keep exactly those labels."""
     if state.finished:
         raise IllegalActionError("game already over")
-    require_layering(state.graph, layering, "proposed layering")
+    table = LabelTable(state.graph, layering)
     lo, hi = interval
     if hi - lo + 1 > state.rseq.head:
         raise IllegalActionError(
             "interval length %d exceeds head %d" % (hi - lo + 1, state.rseq.head)
         )
-    return _restricted(state, [v for v in state.graph.vertices if lo <= layering[v] <= hi])
+    return _restricted(state, table.vertices(lo, hi))
 
 
 def _restricted(state, kept):
@@ -83,21 +112,17 @@ def legal_replies(state, layering):
     The start range is walked via the label positions where the kept
     set changes (each vertex label, as a window's first or last), so
     huge heads cost nothing and every window keeps a vertex.  Kept sets
-    are slices of the vertices sorted by label.
+    are slices of the label order whose ends move right as the start
+    grows, so a start that keeps an earlier set keeps the previous one.
     """
-    require_layering(state.graph, layering, "proposed layering")
+    table = LabelTable(state.graph, layering)
     head = state.rseq.head
-    order = sorted(state.graph.vertices, key=layering.__getitem__)
-    keys = [layering[v] for v in order]
-    labels = set(keys)
-    out = []
-    seen = set()
-    for s in sorted(labels | {lab - head + 1 for lab in labels}):
-        iv = (s, s + head - 1)
-        kept = frozenset(order[bisect_left(keys, s) : bisect_right(keys, iv[1])])
-        if kept not in seen:
-            seen.add(kept)
-            out.append((iv, kept))
+    out, prev = [], None
+    for s in sorted(table.labels + [lab - head + 1 for lab in table.labels]):
+        kept = table.vertices(s, s + head - 1)
+        if kept != prev:
+            out.append(((s, s + head - 1), frozenset(kept)))
+            prev = kept
     return out
 
 
@@ -236,7 +261,7 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
             lam = action.layering
             try:
                 replies = legal_replies(state, lam)
-            except GameError as exc:
+            except (GraphError, SequenceError) as exc:
                 t.outcome = "invalid"
                 t.diagnostic = str(exc)
                 return t

@@ -35,13 +35,12 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, combinations, count, groupby, product
-from operator import or_
+from itertools import combinations, count, product
 
 from .covers import Cover, margin, occupied_intervals, plan_dp
 # apply_restrict stays bound for perfbench/tracer.py; children use _restricted
-from .game import DELETE, GameState, _restricted, apply_delete, apply_restrict  # noqa: F401
-from .graph import OrderedGraph, bits_of, require_layering
+from .game import DELETE, GameState, LabelTable, _restricted, apply_delete, apply_restrict  # noqa: F401
+from .graph import OrderedGraph, bits_of
 from .sequences import ScheduleSeq
 
 INFEASIBLE = None
@@ -182,28 +181,6 @@ class _Restrict:
     kept: dict = field(default_factory=dict)
 
 
-class _LabelTable:
-    """One layering's vertices in label order, their labels, the sorted
-    distinct labels and the prefix ORs of the vertex bits by label: the
-    vertices or the bits of a label interval cost two bisects."""
-
-    __slots__ = ("order", "keys", "labels", "prefix")
-
-    def __init__(self, lam):
-        self.order = sorted(lam, key=lam.__getitem__)
-        self.keys = [lam[v] for v in self.order]
-        self.labels = sorted(set(self.keys))
-        runs = groupby(self.order, key=lam.__getitem__)
-        self.prefix = list(accumulate([bits_of(vs) for _, vs in runs], or_, initial=0))
-
-    def bits(self, lo, hi):
-        labels, prefix = self.labels, self.prefix
-        return prefix[bisect_right(labels, hi)] & ~prefix[bisect_left(labels, lo)]
-
-    def vertices(self, lo, hi):
-        return self.order[bisect_left(self.keys, lo) : bisect_right(self.keys, hi)]
-
-
 class StateIds:
     """Numbers strategy memories for the position table of one search:
     state_id() gives two strategies the same number exactly when their
@@ -271,11 +248,10 @@ class _Search:
             child = self.position(strat.observe(action, None, ns), ns) if ns.graph.n else None
             rec = _Delete(lo, bits_of(g.adj[lo]), child)
         else:
-            lam, head, r = action.layering, state.rseq.head, self.prob.radius
-            require_layering(g, lam, "proposed layering")
-            table = _LabelTable(lam)
+            head, r = state.rseq.head, self.prob.radius
+            table = LabelTable(g, action.layering)
             covers = []
-            for residue, ivs in _dedup_covers(head, r, lam):
+            for residue, ivs in _dedup_covers(head, r, table.labels):
                 if any([b - a + 1 > head for a, b in ivs]):
                     raise SolverInvariantError("cover window longer than head %d" % head)
                 covers.append((residue, ivs, [self.prob.masks(table, iv, r) for iv in ivs]))
@@ -348,19 +324,18 @@ def _candidate_residues(ell, r, labels):
     return sorted(moves | {0})
 
 
-def _dedup_covers(ell, r, lam):
-    """Yield (residue, intervals) with distinct slicing signatures,
-    smallest residue first: exactly what scanning every residue would
-    yield, since each signature first shows at a candidate residue.
+def _dedup_covers(ell, r, labels):
+    """Yield (residue, intervals) with distinct slicing signatures of the
+    sorted distinct labels, smallest residue first: what a scan of every
+    residue yields, since each signature first shows at a candidate residue.
 
     A signature holds, per occupied interval trimmed by d = 0, r, 2r and
     1 (the last matters when r = 0, for interior-keeping slices), the
     range of sorted labels inside; labels own disjoint, non-empty vertex
     sets, so equal ranges mean equal slices."""
-    labels = sorted(set(lam.values()))
     seen = set()
     for residue in _candidate_residues(ell, r, labels):
-        intervals = occupied_intervals(Cover(ell, r, residue), lam)
+        intervals = occupied_intervals(Cover(ell, r, residue), labels)
         sig = []
         for lo, hi in intervals:
             for d in (0, r, 2 * r, 1):
@@ -390,7 +365,7 @@ class _Problem:
     live neighbours are the bitmask nbrs, bit w for neighbour w; cell is
     what the branch adds to the bag, None for nothing; a later branch
     wins a tie.  masks(table, interval, r): the interval's bitmasks from
-    the layering's _LabelTable, made once per cover.  slice(inst,
+    the layering's LabelTable, made once per cover.  slice(inst,
     intervals, masks): per interval of one cover, the window its slice
     plays and (tag, child) pairs, or INFEASIBLE when the cover cannot
     work.

@@ -50,7 +50,8 @@ from bakergame import (
     verify_solution,
 )
 from bakergame.cli import main
-from bakergame.ptas import INFEASIBLE, _dom_masks, _LabelTable, slice_domset
+from bakergame.game import LabelTable
+from bakergame.ptas import INFEASIBLE, _dom_masks, slice_domset
 from bakergame.strategies import DistortionStrategy
 
 
@@ -336,7 +337,7 @@ def test_criterion_6_cover_machinery():
         assert len(covers) == ell - 2 * r
         cov = covers[rng.randrange(len(covers))]
         lam = {v: rng.randrange(-20, 40) for v in range(rng.randrange(1, 15))}
-        ivs = occupied_intervals(cov, lam)
+        ivs = occupied_intervals(cov, sorted(set(lam.values())))
         mids = [margin(iv, r) for iv in ivs]
         for v, lab in lam.items():
             assert sum(1 for lo, hi in mids if lo <= lab <= hi) == 1  # tiling
@@ -371,7 +372,7 @@ def test_criterion_7_hit_distribution():
         n = rng.randrange(8, 16)
         g = random_connected(n, rng.randrange(0, n // 2), rng)
         lam = bfs_layering(g, 0)
-        table = _LabelTable(lam)
+        table = LabelTable(g, lam)
         m = rng.randrange(1, 3)
         hits = tuple(
             frozenset(rng.sample(range(n), rng.randrange(2, 5))) for _ in range(m)
@@ -388,7 +389,7 @@ def test_criterion_7_hit_distribution():
         demand = sum(1 << v for v in inst.demand)
         hit_bits = [sum(1 << v for v in h) for h in hits]
         for cov in all_covers(ell, r):
-            ivs = occupied_intervals(cov, lam)
+            ivs = occupied_intervals(cov, table.labels)
             # the sliced subproblems must together dominate everything:
             # solve each slice exactly with every hit assigned somewhere
             union_ok = False

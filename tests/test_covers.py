@@ -34,7 +34,7 @@ def test_margin():
 def test_occupied_intervals():
     lam = {0: 0, 1: 1, 2: 9}
     cover = Cover(5, 1, 0)  # starts at multiples of 3
-    ivs = occupied_intervals(cover, lam)
+    ivs = occupied_intervals(cover, sorted(set(lam.values())))
     # [DERIVED] windows [-3,1] [0,4] [6,10] [9,13] contain labels
     assert ivs == [(-3, 1), (0, 4), (6, 10), (9, 13)]
 
@@ -64,7 +64,7 @@ def test_occupied_intervals_match_a_scan_of_every_start():
         spread = rng.choice([3, 30, 300])
         lam = {v: rng.randint(-spread, spread) for v in range(rng.randint(0, 12))}
         want = _occupied_by_scan(cover, lam)
-        assert occupied_intervals(cover, lam) == want, (cover, lam)
+        assert occupied_intervals(cover, sorted(set(lam.values()))) == want, (cover, lam)
         jumped += any(b[0] - a[0] > cover.step for a, b in zip(want, want[1:]))
     assert jumped > 500
 

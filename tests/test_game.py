@@ -21,8 +21,13 @@ from bakergame.game import (
 )
 from bakergame.generators import gen_grid, gen_ktree
 from bakergame.graph import OrderedGraph
-from bakergame.sequences import ConstSeq
-from bakergame.strategies import EdgelessStrategy, StrategyError, build_strategy
+from bakergame.sequences import ConstSeq, parse_rseq
+from bakergame.strategies import (
+    DestroyerStrategy,
+    EdgelessStrategy,
+    StrategyError,
+    build_strategy,
+)
 
 
 def path(n):
@@ -124,6 +129,34 @@ def test_play_flags_failing_strategy_as_invalid():
     t = play(EdgelessStrategy(), FirstPreserver(), GameState(g, ConstSeq(1)))
     assert t.outcome == "invalid"
     assert "edges" in t.diagnostic
+
+
+class SpacedLabels(DestroyerStrategy):
+    """Restricts with labels step apart along the vertex order, without
+    reading the sequence."""
+
+    def __init__(self, step):
+        self.step = step
+
+    def state(self, ids):
+        return self.step
+
+    def next_action(self, state):
+        return Action.restrict({v: self.step * i for i, v in enumerate(state.graph.vertices)}), self
+
+
+@pytest.mark.parametrize(
+    "step, rseq, diagnostic",
+    [
+        (3, ConstSeq(2), "proposed layering gap 3 on edge (0,1)"),
+        (0, parse_rseq("geom:1,2").tail(2000), "geometric value overflows at index 2001"),
+    ],
+)
+def test_play_ends_invalid_on_a_bad_layering_or_head(step, rseq, diagnostic):
+    # play returns a transcript for a layering that is not one and for a
+    # head that cannot be computed, instead of raising
+    t = play(SpacedLabels(step), FirstPreserver(), GameState(gen_grid(2, 3), rseq))
+    assert (t.outcome, t.diagnostic, t.rounds) == ("invalid", diagnostic, 0)
 
 
 def test_play_budget():

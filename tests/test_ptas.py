@@ -12,7 +12,7 @@ from hypothesis import strategies as hst
 from bakergame import ptas
 from bakergame.covers import Cover, margin, occupied_intervals
 from bakergame.generators import gen_grid, gen_ktree, gen_random_instance
-from bakergame.game import Action, GameState, parse_preserver, play
+from bakergame.game import RESTRICT, Action, GameState, LabelTable, parse_preserver, play
 from bakergame.graph import NotALayeringError, OrderedGraph
 from bakergame.sequences import ConstSeq
 from bakergame.strategies import DestroyerStrategy, QuotientStrategy, build_strategy
@@ -350,7 +350,7 @@ def _reference_dedup_covers(ell, r, lam):
     seen = set()
     out = []
     for residue in range(ell - 2 * r):
-        intervals = occupied_intervals(Cover(ell, r, residue), lam)
+        intervals = occupied_intervals(Cover(ell, r, residue), labels)
         sig = []
         for iv in intervals:
             trims = []
@@ -384,7 +384,7 @@ def test_dedup_covers_matches_reference():
             for _ in range(rng.randint(1, 3)):
                 lam[len(lam)] = lab
         want = _reference_dedup_covers(ell, r, lam)
-        assert list(ptas._dedup_covers(ell, r, lam)) == want, (ell, r, lam)
+        assert list(ptas._dedup_covers(ell, r, sorted(set(lam.values())))) == want, (ell, r, lam)
         if ell - 2 * r > 6 * (span + 4 * r + 4):
             long += 1
         else:
@@ -410,15 +410,23 @@ def _reference_masks(name, lam, iv, r):
 
 
 def test_label_table_matches_the_scan():
+    # the table indexes the graph's vertices: labels of ids outside the
+    # graph play no part
     rng = random.Random(20261019)
-    seen = {"empty": 0, "outside": 0, "gaps": 0, "negative": 0}
+    seen = {"empty": 0, "outside": 0, "gaps": 0, "negative": 0, "phantom": 0}
     for _ in range(2000):
         first = rng.randint(-30, 10)
         # distinct labels with gaps between them, on sparse vertex ids
         labels = sorted({first + rng.randint(0, 25) for _ in range(rng.randint(1, 8))})
         ids = rng.sample(range(120), rng.randint(len(labels), 40))
         lam = {v: labels[i] if i < len(labels) else rng.choice(labels) for i, v in enumerate(ids)}
-        table = ptas._LabelTable(lam)
+        graph = OrderedGraph(ids)
+        if rng.random() < 0.3:
+            for v in rng.sample(range(120, 160), rng.randint(1, 4)):
+                lam[v] = first + rng.randint(-10, 35)
+            seen["phantom"] += 1
+        inside = {v: lam[v] for v in ids}
+        table = LabelTable(graph, lam)
         seen["gaps"] += labels[-1] - labels[0] + 1 > len(labels)
         seen["negative"] += labels[0] < 0
         for _ in range(6):
@@ -426,7 +434,7 @@ def test_label_table_matches_the_scan():
             hi = lo + rng.randint(-4, 12)
             seen["empty"] += lo > hi
             seen["outside"] += hi < labels[0] or lo > labels[-1]
-            want = _label_bits(lam, lo, hi)
+            want = _label_bits(inside, lo, hi)
             assert table.bits(lo, hi) == want, (lam, lo, hi)
             got = table.vertices(lo, hi)
             assert sum(1 << v for v in got) == want and len(got) == bin(want).count("1")
@@ -434,9 +442,9 @@ def test_label_table_matches_the_scan():
         for prob in (ptas._MIS, ptas._DOMSET, ptas._COLORABLE):
             r = prob.radius
             ell = rng.randint(2 * r + 1, 2 * r + 12)
-            for _, intervals in ptas._dedup_covers(ell, r, lam):
+            for _, intervals in ptas._dedup_covers(ell, r, table.labels):
                 for iv in intervals:
-                    want = _reference_masks(prob.name, lam, iv, r)
+                    want = _reference_masks(prob.name, inside, iv, r)
                     assert prob.masks(table, iv, r) == want, (prob.name, lam, iv)
     assert min(seen.values()) > 200, seen
 
@@ -463,7 +471,7 @@ def test_solver_refuses_a_non_layering():
 
 def test_solver_refuses_windows_longer_than_head(monkeypatch):
     # a Restrict checks its covers once, against the round's head
-    monkeypatch.setattr(ptas, "_dedup_covers", lambda ell, r, lam: iter([(0, [(0, ell)])]))
+    monkeypatch.setattr(ptas, "_dedup_covers", lambda ell, r, labels: iter([(0, [(0, ell)])]))
     with pytest.raises(ptas.SolverInvariantError, match="longer than head"):
         ptas.solve_mis(ptas.ISInstance.full(path(6)), _SpacedLayering(1), 2)
 
@@ -576,6 +584,61 @@ def test_solver_does_not_observe_the_games_end(monkeypatch):
             sol = solve(inst, st.fork(), 2, memo=True)
             assert ptas.verify_solution(problem, inst, sol)
     assert counts[True] == 0 and counts[False] > 0
+
+
+class _PhantomLabels(DestroyerStrategy):
+    """Plays inner, but each layering it proposes also labels the two
+    phantom ids, which are not vertices of the graph, far from the
+    graph's labels.  Records the vertex count of every graph it
+    observes."""
+
+    def __init__(self, inner, phantoms, observed):
+        self.inner = inner
+        self.phantoms = phantoms
+        self.observed = observed
+
+    def state(self, ids):
+        return self.inner.state_id(ids)
+
+    def next_action(self, state):
+        action, inner = self.inner.next_action(state)
+        if action.kind == RESTRICT:
+            lam, far = action.layering, 3 * state.rseq.head
+            low, high = self.phantoms
+            action = Action.restrict({**lam, low: min(lam.values()) - far, high: max(lam.values()) + far})
+        return action, self._rebind("inner", inner)
+
+    def observe(self, action, reply, new_state):
+        self.observed.append(new_state.graph.n)
+        if action.kind == RESTRICT:
+            lam = action.layering
+            action = Action.restrict({v: lab for v, lab in lam.items() if v not in self.phantoms})
+        return self._rebind("inner", self.inner.observe(action, reply, new_state))
+
+
+def _counted_solve(monkeypatch, problem, inst, strategy):
+    """The solution and the number of search nodes it took."""
+    nodes = []
+    tick = ptas._Search.tick
+    monkeypatch.setattr(ptas._Search, "tick", lambda self: (nodes.append(1), tick(self)))
+    sol = _SOLVERS[problem](inst, strategy, 2, memo=True)
+    monkeypatch.undo()
+    return sol, len(nodes)
+
+
+def test_solver_ignores_layering_keys_outside_the_graph(monkeypatch):
+    # the label table indexes the graph's vertices, so the solver tries
+    # no window that holds only labels of ids outside the graph, and
+    # never observes the game's end through one
+    g2, st, _ = build_strategy("chordal:2", gen_ktree(14, 2, seed=3))
+    phantoms = (max(g2.vertices) + 1, max(g2.vertices) + 2)
+    for problem in sorted(_SOLVERS):
+        inst = gen_random_instance(problem, g2, seed=0)
+        want = _counted_solve(monkeypatch, problem, inst, st.fork())
+        observed = []
+        wrapped = _PhantomLabels(st.fork(), phantoms, observed)
+        assert _counted_solve(monkeypatch, problem, inst, wrapped) == want, problem
+        assert observed and 0 not in observed, problem
 
 
 class _FailsAtTheEnd(DestroyerStrategy):

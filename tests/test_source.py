@@ -61,6 +61,26 @@ def test_one_descriptor_grammar():
     assert found == []
 
 
+def test_one_layering_check():
+    # the referee and the solver check a proposed layering only where
+    # they index it: in the constructor of game.LabelTable
+    found = []
+
+    def visit(node, name, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require_layering":
+            if scope != ("LabelTable", "__init__"):
+                found.append("%s:%d in %s" % (name, node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, name, scope)
+
+    for name in ("game.py", "ptas.py"):
+        path = pathlib.Path(bakergame.__file__).parent / name
+        visit(ast.parse(path.read_text(), str(path)), name, ())
+    assert found == []
+
+
 def test_strategy_moves_assign_nothing_on_self():
     # strategies are values: outside __init__ a method rebinds attributes
     # of a copy, never of self.  The state number cache in the base
