@@ -82,6 +82,7 @@ from .generators import (
 )
 from .fileio import (
     FormatError,
+    parse_annotated_graph,
     parse_embedding,
     parse_graph,
     write_embedding,

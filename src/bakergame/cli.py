@@ -14,6 +14,7 @@ import time
 from . import generators, ptas
 from .fileio import (
     FormatError,
+    parse_annotated_graph,
     parse_embedding,
     parse_graph,
     write_embedding,
@@ -129,8 +130,7 @@ def cmd_play(args):
     return EXIT_ERROR
 
 
-def _instance_from_graph(problem, graph, colors):
-    ann = graph.annotations
+def _instance_from_graph(problem, graph, ann, colors):
     if problem == "domset":
         demand = ann.get("demand", graph.vertex_set)
         hits = tuple(ann[k] for k in sorted(ann) if k.startswith("hit:"))
@@ -165,15 +165,15 @@ def _solution_report(problem, sol, inv):
 
 
 def cmd_solve(args):
-    graph = parse_graph(_read(args.graph))
-    inst = _instance_from_graph(args.problem, graph, args.colors)
+    graph, ann = parse_annotated_graph(_read(args.graph))
     built = _load_strategy(args, graph)
     if isinstance(built, MinorWitness):
         _emit_json(_witness_report(built), args.output)
         return EXIT_MINOR_WITNESS
     graph2, strategy, perm = built
-    # the reordered graph carries every annotation through perm
-    inst2 = inst if perm is None else _instance_from_graph(args.problem, graph2, args.colors)
+    if perm is not None:
+        ann = {name: frozenset(perm[v] for v in vs) for name, vs in ann.items()}
+    inst2 = _instance_from_graph(args.problem, graph2, ann, args.colors)
     inv = {n: o for o, n in perm.items()} if perm else None
     solver = {
         "domset": ptas.solve_domset,
@@ -213,8 +213,7 @@ def cmd_solve(args):
 
 
 def cmd_oracle(args):
-    graph = parse_graph(_read(args.graph))
-    inst = _instance_from_graph(args.problem, graph, args.colors)
+    inst = _instance_from_graph(args.problem, *parse_annotated_graph(_read(args.graph)), args.colors)
     if args.problem == "domset":
         res = ptas.oracle_domset(inst)
         if res is ptas.INFEASIBLE:

@@ -6,7 +6,9 @@ Graph files:
     a <name> <v>        v belongs to the annotation set <name>
     a <name>            declares <name> as an empty set
 Vertices are 0..n-1, and n is at most MAX_VERTICES.  Blank lines and
-lines starting with '#' are ignored.
+lines starting with '#' are ignored.  Annotation sets are instance data,
+not part of the graph: parse_annotated_graph returns them next to it,
+parse_graph drops them.
 
 Embedding files:
     p embed <n> <dim> <beta>
@@ -36,6 +38,11 @@ def _content_lines(text):
 
 
 def parse_graph(text):
+    return parse_annotated_graph(text)[0]
+
+
+def parse_annotated_graph(text):
+    """(graph, {name: frozenset of vertices}) read from a graph file."""
     n = m = None
     edges = set()
     annotations = {}
@@ -88,18 +95,16 @@ def parse_graph(text):
         raise FormatError(1, "missing problem line")
     if len(edges) != m:
         raise FormatError(1, "expected %d edges, found %d" % (m, len(edges)))
-    g = OrderedGraph(range(n), edges)
-    if annotations:
-        g = g.with_annotations({k: frozenset(v) for k, v in annotations.items()})
-    return g
+    return OrderedGraph(range(n), edges), {k: frozenset(v) for k, v in annotations.items()}
 
 
-def write_graph(graph):
+def write_graph(graph, annotations=None):
+    """The file text of graph, with the annotation sets given, if any."""
     lines = ["p graph %d %d" % (graph.n, graph.m)]
     for u, v in graph.edge_list():
         lines.append("e %d %d" % (u, v))
-    for name in sorted(graph.annotations):
-        members = sorted(graph.annotations[name])
+    for name in sorted(annotations or ()):
+        members = sorted(annotations[name])
         if not members:
             lines.append("a %s" % name)
         for v in members:

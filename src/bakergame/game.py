@@ -167,6 +167,10 @@ class Transcript:
     def rounds(self):
         return len(self.entries)
 
+    def _end(self, outcome, diagnostic):
+        self.outcome, self.diagnostic = outcome, diagnostic
+        return self
+
     def to_lines(self):
         lines = [e.to_line() for e in self.entries]
         lines.append("outcome %s" % self.outcome)
@@ -244,15 +248,11 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
     t = Transcript(initial_vertices=tuple(state.graph.vertices))
     while not state.finished:
         if t.rounds >= budget:
-            t.outcome = "budget_exceeded"
-            t.diagnostic = "no win within %d rounds" % budget
-            return t
+            return t._end("budget_exceeded", "no win within %d rounds" % budget)
         try:
             action, strategy = strategy.next_action(state)
         except Exception as exc:  # structural violation inside a strategy
-            t.outcome = "invalid"
-            t.diagnostic = "strategy error: %s" % exc
-            return t
+            return t._end("invalid", "strategy error: %s" % exc)
         if action.kind == DELETE:
             new_state = apply_delete(state)
             reply = None
@@ -262,23 +262,20 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
             try:
                 replies = legal_replies(state, lam)
             except (GraphError, SequenceError) as exc:
-                t.outcome = "invalid"
-                t.diagnostic = str(exc)
-                return t
+                return t._end("invalid", str(exc))
             reply = preserver.choose(state, lam, replies)
             # a canonical reply keeps a set legal_replies built after checking lam
             kept = next((kept for iv, kept in replies if iv == reply), None)
-            new_state = apply_restrict(state, lam, reply) if kept is None else _restricted(state, kept)
+            try:
+                new_state = apply_restrict(state, lam, reply) if kept is None else _restricted(state, kept)
+            except GameError as exc:  # a reply longer than the head
+                return t._end("invalid", str(exc))
         else:
-            t.outcome = "invalid"
-            t.diagnostic = "unknown action kind %r" % action.kind
-            return t
+            return t._end("invalid", "unknown action kind %r" % action.kind)
         try:
             strategy = strategy.observe(action, reply, new_state)
         except Exception as exc:
-            t.outcome = "invalid"
-            t.diagnostic = "strategy error: %s" % exc
-            return t
+            return t._end("invalid", "strategy error: %s" % exc)
         t.entries.append(
             TranscriptEntry(
                 round=new_state.round,
@@ -289,8 +286,7 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
             )
         )
         state = new_state
-    t.outcome = "win"
-    return t
+    return t._end("win", "")
 
 
 def minimax_rounds(strategy, state, cap=DEFAULT_BUDGET, stats=None):

@@ -7,7 +7,7 @@ solutions can always be traced back to the input.
 """
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 
 
@@ -41,6 +41,9 @@ def bits_of(vs, lo=0):
     return bits
 
 
+_NO_NEIGHBOURS = frozenset()
+
+
 class OrderedGraph:
     """Immutable simple graph on integer vertices, ordered numerically.
 
@@ -48,51 +51,44 @@ class OrderedGraph:
     (gp, d, verdict) for the last partition it checked (_partition): gp,
     never mutated either, stays alive there, so its id is not reused."""
 
-    __slots__ = ("vertices", "adj", "annotations", "_vset", "_m", "_bits", "_chordal", "_partition")
+    __slots__ = ("vertices", "adj", "_vset", "_m", "_bits", "_chordal", "_partition")
 
-    def __init__(self, vertices, edges=(), annotations=None, _adj=None):
+    def __init__(self, vertices, edges=(), _adj=None):
         vs = tuple(sorted(set(vertices)))
         self.vertices = vs
-        self._vset = frozenset(vs)
+        self._vset = vset = frozenset(vs)
         self._bits = None
         self._chordal = self._partition = None
         if _adj is not None:
             self.adj = _adj
         else:
-            nbrs = {v: set() for v in vs}
+            nbrs = defaultdict(set)
             for u, v in edges:
                 if u == v:
                     raise GraphError("loop at vertex %d" % u)
-                if u not in nbrs or v not in nbrs:
+                if u not in vset or v not in vset:
                     raise GraphError("edge (%d,%d) uses unknown vertex" % (u, v))
                 nbrs[u].add(v)
                 nbrs[v].add(u)
-            self.adj = {v: frozenset(nbrs[v]) for v in vs}
+            # frozenset of a frozenset is that object: isolated vertices share _NO_NEIGHBOURS
+            self.adj = {v: frozenset(nbrs.get(v, _NO_NEIGHBOURS)) for v in vs}
         self._m = sum(len(a) for a in self.adj.values()) // 2
-        anns = {}
-        for name, vset in (annotations or {}).items():
-            vset = frozenset(vset)
-            if not vset <= self._vset:
-                raise GraphError("annotation %r contains unknown vertices" % name)
-            anns[name] = vset
-        self.annotations = anns
 
     @classmethod
-    def _raw(cls, vertices, vset, adj, m, annotations, bits=None):
+    def _raw(cls, vertices, vset, adj, m, bits=None):
         """Trusted constructor: vertices sorted, adj restricted to vset."""
         g = object.__new__(cls)
         g.vertices = vertices
         g._vset = vset
         g.adj = adj
         g._m = m
-        g.annotations = annotations
         g._bits = bits
         g._chordal = g._partition = None
         return g
 
     def __reduce__(self):
         # the cached vertex_bits and verdicts stay out of pickles
-        return (OrderedGraph._raw, (self.vertices, self._vset, self.adj, self._m, self.annotations))
+        return (OrderedGraph._raw, (self.vertices, self._vset, self.adj, self._m))
 
     @property
     def n(self):
@@ -133,7 +129,6 @@ class OrderedGraph:
         gone = self._vset - keep
         if not gone:
             return self
-        anns = {name: s & keep for name, s in self.annotations.items()}
         if 4 * len(gone) < len(keep):
             # few removals: copy the adjacency, patch the removed vertices' neighbors
             adj = dict(self.adj)
@@ -148,7 +143,7 @@ class OrderedGraph:
             vertices = tuple(sorted(keep))
             adj = {v: self.adj[v] & keep for v in vertices}
         m = sum(map(len, adj.values())) // 2
-        return OrderedGraph._raw(vertices, keep, adj, m, anns)
+        return OrderedGraph._raw(vertices, keep, adj, m)
 
     def delete_smallest(self):
         """induced(vertex_set - {smallest}), touching only its neighbors."""
@@ -159,17 +154,11 @@ class OrderedGraph:
         gone = (v,)
         for w in nbrs:
             adj[w] = adj[w].difference(gone)
-        anns = {name: s.difference(gone) for name, s in self.annotations.items()}
         vertices = self.vertices[1:]
         bits = self._bits
         if bits is not None:
             bits = bits >> (vertices[0] - v) if vertices else 0
-        return OrderedGraph._raw(
-            vertices, self._vset.difference(gone), adj, self._m - len(nbrs), anns, bits
-        )
-
-    def with_annotations(self, annotations):
-        return OrderedGraph(self.vertices, annotations=annotations, _adj=self.adj)
+        return OrderedGraph._raw(vertices, self._vset.difference(gone), adj, self._m - len(nbrs), bits)
 
     def bfs_distances(self, source):
         if source not in self._vset:
@@ -203,11 +192,7 @@ class OrderedGraph:
     def __eq__(self, other):
         if not isinstance(other, OrderedGraph):
             return NotImplemented
-        return (
-            self.vertices == other.vertices
-            and self.adj == other.adj
-            and self.annotations == other.annotations
-        )
+        return self.vertices == other.vertices and self.adj == other.adj
 
     def __hash__(self):
         return hash((self.vertices, frozenset(self.edge_list())))

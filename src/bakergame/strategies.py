@@ -799,9 +799,6 @@ def chordal_geodesic_partition(graph, k):
         perm[v]: frozenset(perm[w] for w in graph.adj[v]) for v in graph.vertices
     }
     newg = OrderedGraph(range(graph.n), _adj=adj)
-    newg.annotations.update(
-        {name: frozenset(perm[v] for v in s) for name, s in graph.annotations.items()}
-    )
     parts = tuple(frozenset(perm[v] for v in p) for p in part_sets)
     layerings = tuple(
         {perm[v]: dep for v, dep in part_depths[i].items()} for i in range(len(parts))

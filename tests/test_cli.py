@@ -1,8 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from bakergame.cli import main, quadratic_fit
+from bakergame.fileio import write_graph
+from bakergame.generators import gen_grid
+from bakergame.strategies import build_strategy
 
 
 def run(capsys, argv):
@@ -252,6 +256,45 @@ def test_solve_then_oracle_pipeline(tmp_path, capsys):
     exact = json.loads(out)
     assert 2 * sol["size"] >= exact["size"]
     assert sol["ratio_bound"] == "1/2"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "command, problem, digest",
+    [
+        ("solve", "domset", "5bed19d8a6dbf86e9fcaafdde9fdd5d2a33adbfef102d8693c9995581bdf3fbe"),
+        ("solve", "mis", "6e0d976ec2e20f777721c93cbc678850041ed7432f40f11fa64135a20e8c3236"),
+        ("solve", "ccolorable", "de6f309a6eccdb513a4fa8ebdb5837e52a39f416d0b4957aaa4b60703cc9152a"),
+        ("oracle", "domset", "8625a543770c66858ca62218605a263124f2b8e0731593e52d3d3847bc2638d7"),
+        ("oracle", "mis", "151e4429df8f44a48a878be8164a137a128be42c189f30857c4c3b314f39e9c9"),
+    ],
+    ids=lambda v: v[:10],
+)
+def test_annotated_file_outputs_pinned(tmp_path, capsys, command, problem, digest):
+    # minorfree:5 renumbers the 4x5 grid, so solve must carry every
+    # annotation set through that permutation and back
+    g = gen_grid(4, 5)
+    perm = build_strategy("minorfree:5", g)[2]
+    assert any(v != w for v, w in perm.items())
+    ann = {
+        "demand": {v for v in g.vertices if v % 2 == 0},
+        "hit:0": {3, 17},
+        "hit:1": {8},
+        "forbidden": {0, 6, 13},
+        "list:1": {v for v in g.vertices if v % 3},
+        "list:2": {v for v in g.vertices if v % 4},
+    }
+    path = tmp_path / "g.gr"
+    path.write_text(write_graph(g, ann))
+    assert _sha256(path.read_text()) == "870233f9dbfc37571e28f1690c60a8d5bf1cc74bea59e60c661b128396370528"
+    argv = [command, "--problem", problem, "--graph", str(path)]
+    if command == "solve":
+        argv += ["--strategy", "minorfree:5", "--k", "2", "--memo"]
+    code, out = run(capsys, argv)
+    assert code == 0 and _sha256(out) == digest
 
 
 def test_solve_infeasible_exit(tmp_path, capsys):

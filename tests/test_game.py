@@ -2,6 +2,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bakergame import game
 from bakergame.game import (
@@ -10,6 +12,7 @@ from bakergame.game import (
     GameState,
     IllegalActionError,
     MaxKeepPreserver,
+    Preserver,
     RandomPreserver,
     Transcript,
     apply_delete,
@@ -159,6 +162,32 @@ def test_play_ends_invalid_on_a_bad_layering_or_head(step, rseq, diagnostic):
     assert (t.outcome, t.diagnostic, t.rounds) == ("invalid", diagnostic, 0)
 
 
+class OffCanonPreserver(Preserver):
+    """Answers from the first canonical interval's start or end with an
+    interval that no canonical reply has."""
+
+    def __init__(self, long):
+        self.long = long
+
+    def choose(self, state, layering, replies):
+        lo, hi = replies[0][0]
+        return (lo, lo + state.rseq.head + 3) if self.long else (hi, hi)
+
+
+def test_play_referees_replies_that_are_not_canonical():
+    g, strat, _ = build_strategy("minorfree:5", gen_grid(3, 3))
+    state = GameState(g, ConstSeq(2))
+    # too long: the game ends invalid instead of raising
+    t = play(strat, OffCanonPreserver(long=True), state)
+    assert (t.outcome, t.diagnostic, t.rounds) == ("invalid", "interval length 6 exceeds head 2", 0)
+    # one label, shorter than head: legal, so it is played
+    t = play(strat, OffCanonPreserver(long=False), state)
+    restricts = [e.reply for e in t.entries if e.action == "restrict"]
+    assert t.outcome == "win" and restricts
+    assert all(lo == hi for lo, hi in restricts)
+    assert t.replay(state).finished
+
+
 def test_play_budget():
     g = OrderedGraph(range(5), [])
     t = play(EdgelessStrategy(), MaxKeepPreserver(), GameState(g, ConstSeq(1)), budget=1)
@@ -291,3 +320,26 @@ def test_play_checks_each_layering_once(monkeypatch, preserver, checks_per_restr
     assert t.to_json() == want
     monkeypatch.undo()
     t.replay(state)
+
+
+@st.composite
+def refereed_games(draw):
+    if draw(st.booleans()):
+        g = gen_ktree(draw(st.integers(3, 30)), 2, seed=draw(st.integers(0, 10**6)))
+        desc = "chordal:2"
+    else:
+        g = gen_grid(draw(st.integers(1, 5)), draw(st.integers(1, 6)))
+        desc = "minorfree:5"
+    rseq = "const:%d" % draw(st.integers(1, 3))
+    preserver = draw(st.sampled_from(["first", "last", "max"]) | st.integers(0, 99).map("random:{}".format))
+    return g, desc, rseq, preserver
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(refereed_games())
+def test_transcripts_replay_to_the_empty_graph(case):
+    g, desc, rseq, preserver = case
+    g2, strat, _ = build_strategy(desc, g)
+    state = GameState(g2, parse_rseq(rseq))
+    t = play(strat, parse_preserver(preserver), state)
+    assert t.replay(state).finished, (t.outcome, t.diagnostic)

@@ -2,6 +2,7 @@ import pytest
 
 from bakergame.fileio import (
     FormatError,
+    parse_annotated_graph,
     parse_embedding,
     parse_graph,
     write_embedding,
@@ -68,13 +69,12 @@ def test_random_instance_kinds():
 
 def test_graph_roundtrip(tmp_path):
     g = gen_grid(3, 3)
-    g.annotations["demand"] = {0, 4, 8}
     p = tmp_path / "g.gr"
-    p.write_text(write_graph(g))
-    h = parse_graph(p.read_text())
+    p.write_text(write_graph(g, {"demand": {0, 4, 8}}))
+    h, ann = parse_annotated_graph(p.read_text())
     assert h.vertices == g.vertices
     assert h.edge_list() == g.edge_list()
-    assert h.annotations["demand"] == {0, 4, 8}
+    assert ann["demand"] == {0, 4, 8}
 
 
 def test_embedding_roundtrip(tmp_path):
@@ -110,9 +110,9 @@ def test_parse_graph_errors_carry_line_numbers(text, lineno):
 
 
 def test_bare_annotation_declares_empty_set():
-    g = parse_graph("p graph 2 1\ne 0 1\na hit:0\n")
-    assert g.annotations["hit:0"] == frozenset()
-    assert "a hit:0\n" in write_graph(g)
+    g, ann = parse_annotated_graph("p graph 2 1\ne 0 1\na hit:0\n")
+    assert ann["hit:0"] == frozenset()
+    assert "a hit:0\n" in write_graph(g, ann)
 
 
 def test_parse_embedding_errors():

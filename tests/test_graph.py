@@ -59,13 +59,18 @@ def test_rejects_self_loops_and_unknown_endpoints():
         OrderedGraph([1, 2], [(1, 5)])
 
 
-def test_induced_keeps_ids_and_annotations():
+def test_induced_keeps_ids():
     g = OrderedGraph(range(4), [(0, 1), (1, 2), (2, 3)])
-    g = g.with_annotations({"demand": frozenset({0, 3})})
     h = g.induced({1, 2, 3})
     assert h.vertices == (1, 2, 3)
-    assert h.annotations["demand"] == frozenset({3})
     assert h.has_edge(1, 2) and not h.has_edge(0, 1)
+
+
+def test_isolated_vertices_share_one_empty_neighbour_set():
+    g = OrderedGraph(range(100000))
+    assert len({id(a) for a in g.adj.values()}) == 1 and not g.adj[0]
+    g = OrderedGraph(range(5), [(0, 1)])
+    assert g.adj[2] is g.adj[3] is g.adj[4] and g.adj[0] == {1} and g.adj[1] == {0}
 
 
 def test_delete_smallest():

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from bakergame.fileio import (
     MAX_VERTICES,
     FormatError,
+    parse_annotated_graph,
     parse_embedding,
     parse_graph,
     write_graph,
@@ -62,12 +63,14 @@ def embedding_files(draw):
 @given(graph_files() | _line_soup(["p", "e", "a", "#"]) | st.text(max_size=40))
 def test_parse_graph_raises_only_format_errors(text):
     try:
-        g = parse_graph(text)
+        g, ann = parse_annotated_graph(text)
     except FormatError:
         return
-    # every edge line is one edge of the graph, so it writes back whole
+    assert parse_graph(text) == g
+    # every edge line is one edge of the graph, so it writes back whole,
+    # annotation sets included
     assert g.m == sum(1 for line in text.splitlines() if line.split()[:1] == ["e"])
-    assert parse_graph(write_graph(g)) == g
+    assert parse_annotated_graph(write_graph(g, ann)) == (g, ann)
 
 
 @FUZZ

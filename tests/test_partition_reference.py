@@ -1,7 +1,8 @@
 """The partition builder against the quadratic build it replaced.
 
 reference_partition below is the earlier chordal_geodesic_partition,
-kept verbatim apart from its name.  For each piece it copies the piece,
+kept verbatim apart from its name and the annotation mapping that
+graphs no longer carry.  For each piece it copies the piece,
 runs a full breadth-first search, finds a parent for every vertex and
 splits the rest with a second full search.  The near-linear builder in
 strategies must return exactly what it returns: the same permutation,
@@ -79,9 +80,6 @@ def reference_partition(graph, k):
         perm[v]: frozenset(perm[w] for w in graph.adj[v]) for v in graph.vertices
     }
     newg = OrderedGraph(range(graph.n), _adj=adj)
-    newg.annotations.update(
-        {name: frozenset(perm[v] for v in s) for name, s in graph.annotations.items()}
-    )
     parts = tuple(frozenset(perm[v] for v in p) for p in part_sets)
     layerings = tuple(
         {perm[v]: dep for v, dep in part_depths[i].items()} for i in range(len(parts))
@@ -100,7 +98,6 @@ def _key(res):
         res.perm,
         g.vertices,
         g.adj,
-        g.annotations,
         gp.parts,
         gp.part_layerings,
         gp.quotient_graph.vertices,
@@ -111,9 +108,8 @@ def _key(res):
 def _random_sparse(rng, n):
     p = rng.uniform(0.03, 0.3)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    g = OrderedGraph(range(n), edges)
-    # an annotation, so the reordering of annotations is compared too
-    return g.with_annotations({"mark": rng.sample(range(n), n // 3)})
+    rng.sample(range(n), n // 3)  # a draw the corpus always made; later graphs stay the same
+    return OrderedGraph(range(n), edges)
 
 
 def _corpus():

@@ -81,6 +81,20 @@ def test_one_layering_check():
     assert found == []
 
 
+def test_graphs_hold_no_instance_data():
+    # annotation sets (demand, hit-sets, forbidden vertices, colour lists)
+    # belong to the instance that fileio and the CLI build, not to the
+    # graph the game, strategies and solvers play on
+    found = []
+    for name in ("graph.py", "game.py", "strategies.py", "ptas.py"):
+        path = pathlib.Path(bakergame.__file__).parent / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            # identifiers, attribute and argument names, and strings such as __slots__ entries
+            if "annotations" in (v for _, v in ast.iter_fields(node) if isinstance(v, str)):
+                found.append("%s:%d" % (name, getattr(node, "lineno", 0)))
+    assert found == []
+
+
 def test_strategy_moves_assign_nothing_on_self():
     # strategies are values: outside __init__ a method rebinds attributes
     # of a copy, never of self.  The state number cache in the base
