@@ -31,8 +31,13 @@ RESTRICT = "restrict"
 
 @dataclass(frozen=True)
 class Action:
+    """A move; equal moves hash alike, so strategy memories hold them."""
+
     kind: str
     layering: dict | None = None
+
+    def __hash__(self):
+        return hash((self.kind, None if self.layering is None else frozenset(self.layering.items())))
 
     @staticmethod
     def delete():
@@ -264,6 +269,9 @@ def play(strategy, preserver, state, budget=DEFAULT_BUDGET):
             except (GraphError, SequenceError) as exc:
                 return t._end("invalid", str(exc))
             reply = preserver.choose(state, lam, replies)
+            if not (isinstance(reply, tuple) and len(reply) == 2
+                    and all(isinstance(x, int) for x in reply) and reply[0] <= reply[1]):
+                return t._end("invalid", "reply %r is not an interval (lo, hi) of integers" % (reply,))
             # a canonical reply keeps a set legal_replies built after checking lam
             kept = next((kept for iv, kept in replies if iv == reply), None)
             try:

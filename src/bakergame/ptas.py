@@ -119,8 +119,12 @@ class ColorInstance:
     lists: tuple  # tuple of (vertex, frozenset of colors), sorted by vertex
 
     def __post_init__(self):
+        if self.colors < 1:
+            raise PtasError("colors must be at least 1, got %d" % self.colors)
         if dict(self.lists).keys() != set(self.graph.vertex_set):
             raise PtasError("lists do not match the vertex set")
+        if any(not 1 <= a <= self.colors for _, lst in self.lists for a in lst):
+            raise PtasError("a listed color lies outside 1..%d" % self.colors)
 
     @staticmethod
     def full(graph, c):

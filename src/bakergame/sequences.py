@@ -4,9 +4,16 @@ Sequences are never materialized: each kind stores a closed-form rule,
 and tails and every-second-element views are one affine wrapper,
 at(i) = base.at(a*i + b), that composes instead of nesting, so any view
 costs O(1); a constant is its own view.  All indices are 1-based.
+
+Every kind is a frozen dataclass, so sequences compare and hash by
+structure: two tails of one sequence to the same index are equal, and
+so are two thinnings of one sequence by one width, whatever either has
+indexed.  Strategy memories and round_bound's memo hold sequences as
+they are, with no printed key, so a tail index of any size is fine.
 """
 
 import math
+from dataclasses import dataclass, field
 
 
 class SequenceError(ValueError):
@@ -51,15 +58,6 @@ class RSequence:
         """Every second element: at(i) = self.at(2*i)."""
         return self.affine(2, 0)
 
-    def key(self):
-        """repr(self), cached.  It spells out the whole structure, so
-        equal keys mean equal sequences; wrappers build theirs from the
-        cached key of their base, so each new wrapper costs O(1)."""
-        k = self.__dict__.get("_key")
-        if k is None:
-            k = self._key = repr(self)
-        return k
-
     def _check(self, i, value):
         if i < 1:
             raise SequenceError("index %d out of range" % i)
@@ -68,11 +66,13 @@ class RSequence:
         return value
 
 
+@dataclass(frozen=True)
 class ConstSeq(RSequence):
-    def __init__(self, c):
-        if c < 1:
+    c: int
+
+    def __post_init__(self):
+        if self.c < 1:
             raise SequenceError("constant sequence needs c >= 1")
-        self.c = c
 
     def at(self, i):
         return self._check(i, self.c)
@@ -80,18 +80,17 @@ class ConstSeq(RSequence):
     def affine(self, a, b):
         return self
 
-    def __repr__(self):
-        return "const:%d" % self.c
 
-
+@dataclass(frozen=True)
 class GeomSeq(RSequence):
     """Ceil of a * b**i."""
 
-    def __init__(self, a, b):
-        if not (0 < a < math.inf and 0 < b < math.inf):
+    a: float
+    b: float
+
+    def __post_init__(self):
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
             raise SequenceError("geometric sequence needs positive finite a, b")
-        self.a = a
-        self.b = b
 
     def at(self, i):
         try:
@@ -100,10 +99,8 @@ class GeomSeq(RSequence):
             raise SequenceError("geometric value overflows at index %d" % i) from exc
         return self._check(i, value)
 
-    def __repr__(self):
-        return "geom:%s,%s" % (self.a, self.b)
 
-
+@dataclass(frozen=True)
 class ScheduleSeq(RSequence):
     """Window-length schedule used by the approximation solvers.
 
@@ -114,13 +111,14 @@ class ScheduleSeq(RSequence):
 
     PROBLEMS = ("domset", "mis", "ccolorable")
 
-    def __init__(self, problem, k):
-        if problem not in self.PROBLEMS:
-            raise SequenceError("unknown schedule problem %r" % problem)
-        if k < 1:
+    problem: str
+    k: int
+
+    def __post_init__(self):
+        if self.problem not in self.PROBLEMS:
+            raise SequenceError("unknown schedule problem %r" % self.problem)
+        if self.k < 1:
             raise SequenceError("schedule needs k >= 1")
-        self.problem = problem
-        self.k = k
 
     def at(self, i):
         _index(i)
@@ -134,16 +132,15 @@ class ScheduleSeq(RSequence):
             val = 2 * (k + 1) * 2**i
         return self._check(i, val)
 
-    def __repr__(self):
-        return "schedule:%s:%d" % (self.problem, self.k)
 
-
+@dataclass(frozen=True)
 class AffineSeq(RSequence):
     """at(i) = base.at(a*i + b).  Made by affine(), which on an
     AffineSeq composes the two maps, so base is never an AffineSeq."""
 
-    def __init__(self, base, a, b):
-        self.base, self.a, self.b = base, a, b
+    base: RSequence
+    a: int
+    b: int
 
     def at(self, i):
         if i < 1:
@@ -153,23 +150,23 @@ class AffineSeq(RSequence):
     def affine(self, a, b):
         return AffineSeq(self.base, self.a * a, self.a * b + self.b)
 
-    def __repr__(self):
-        return "affine(%s, %d, %d)" % (self.base.key(), self.a, self.b)
 
-
+@dataclass(frozen=True)
 class ThinnedSeq(RSequence):
     """Subsequence at indices i_0=0, i_j = i_{j-1} + d*base(i_{j-1}+1) + 1.
 
     at(j) = base.at(i_{j-1} + 1).  index(j) returns i_j, memoized, and
     like the other rules that grow with the index refuses j > INDEX_LIMIT.
+    The memo takes no part in comparisons.
     """
 
-    def __init__(self, base, d):
-        if d < 1:
+    base: RSequence
+    d: int
+    _idx: list = field(default_factory=lambda: [0], init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.d < 1:
             raise SequenceError("thinning needs d >= 1")
-        self.base = base
-        self.d = d
-        self._idx = [0]
 
     def index(self, j):
         if j:  # i_0 = 0 needs no rule
@@ -181,9 +178,6 @@ class ThinnedSeq(RSequence):
 
     def at(self, j):
         return self.base.at(self.index(_index(j) - 1) + 1)
-
-    def __repr__(self):
-        return "thinned(%s, %d)" % (self.base.key(), self.d)
 
 
 def parse_rseq(text):

@@ -22,7 +22,9 @@ valid because an object's memory is fixed once a move returns it; the
 solvers' position table keys on it.  The number is that of (class,
 descriptor, state): every strategy of one search comes from one
 build_strategy call on one graph and embedding, so its descriptor fixes
-the partition, embedding and leaf it plays with.
+the partition, embedding and leaf it plays with.  A state holds its
+simulated sequences and pending moves as they are, since sequences and
+Actions compare and hash as values.
 
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
@@ -116,20 +118,6 @@ def _sub_id(sub, ids):
     return None if sub is None else sub.state_id(ids)
 
 
-def _seq_key(seq):
-    return None if seq is None else seq.key()
-
-
-def _action_key(a):
-    return (a.kind, None if a.layering is None else frozenset(a.layering.items()))
-
-
-def _pending_key(pending):
-    if pending is None:
-        return None
-    return tuple(_action_key(x) if isinstance(x, Action) else x for x in pending)
-
-
 # ---------------------------------------------------------------------------
 # descriptors and round bounds
 
@@ -186,13 +174,13 @@ def round_bound(desc, r):
     An unbounded case, one that would read r past INDEX_LIMIT, raises
     SequenceError; a distortion bound past the float range raises
     OverflowError.  Within one call, each chordal degree is bounded once
-    per sequence object.  A constant sequence is its own tail and
+    per sequence value.  A constant sequence is its own tail and
     pairing, so on const:c a chordal degree d costs polynomially in d,
     not c ** d.  Thinned by a quotient of width d, const:c is const:c
     read at every (d*c + 1)-th index, so a quotient over a constant
     costs one inner bound.  The recursion takes two frames per degree.
     """
-    chordal = {}  # (d, id(seq)) -> (bound, seq); holding seq keeps its id
+    chordal = {}  # (d, seq) -> bound
 
     def glue(t1, leaf, r):
         # a clique-sum whose base wins within t1 rounds of r paired,
@@ -203,10 +191,10 @@ def round_bound(desc, r):
         if isinstance(desc, ChordalD):
             if desc.d <= 0:
                 return 2
-            key = (desc.d, id(r))
+            key = (desc.d, r)
             if key not in chordal:
-                chordal[key] = (bound(ChainD(desc.d - 1, r.at(2)), r.tail(2)) + 2, r)
-            return chordal[key][0]
+                chordal[key] = bound(ChainD(desc.d - 1, r.at(2)), r.tail(2)) + 2
+            return chordal[key]
         if isinstance(desc, ChainD):
             if desc.k > INDEX_LIMIT:
                 raise SequenceError("chain longer than the evaluation limit %d" % INDEX_LIMIT)
@@ -315,13 +303,11 @@ class ChordalStrategy(DestroyerStrategy):
         self.d = d
         self.descriptor = ChordalD(d)
         self.phase = "spread"
-        self.bfs_lam = None
+        self.bfs = None  # the BFS Restrict, between its move and observe
         self.checked = False
 
     def state(self, ids):
-        # bfs_lam is set only between a BFS Restrict and its observe
-        lam = None if self.bfs_lam is None else frozenset(self.bfs_lam.items())
-        return (self.phase, self.checked, lam)
+        return (self.phase, self.checked, self.bfs)
 
     def next_action(self, state):
         g = state.graph
@@ -351,13 +337,13 @@ class ChordalStrategy(DestroyerStrategy):
         s = self.fork()
         s.checked = True
         s.phase = "bfs"
-        s.bfs_lam = lam
-        return Action.restrict(lam), s
+        s.bfs = Action.restrict(lam)
+        return s.bfs, s
 
     def observe(self, action, reply, new_state):
         if self.phase == "spread":
             return self._rebind("phase", "bfs")
-        return _make_chain({v: self.bfs_lam[v] for v in new_state.graph.vertices}, self.d)
+        return _make_chain({v: self.bfs.layering[v] for v in new_state.graph.vertices}, self.d)
 
 
 class CliqueSumStrategy(DestroyerStrategy):
@@ -396,8 +382,7 @@ class CliqueSumStrategy(DestroyerStrategy):
         below, keys = frozenset(), []  # frame i's base is live & below
         for frame, layer in zip(self.frames, self.layers + (frozenset(),)):
             live, sim, j, phase, pending, leaf, exhausted = frame
-            keys.append((live & below, _seq_key(sim), j, phase, _pending_key(pending), exhausted,
-                         _sub_id(leaf, ids)))
+            keys.append((live & below, sim, j, phase, pending, exhausted, _sub_id(leaf, ids)))
             below |= layer
         return tuple(keys)
 
@@ -553,10 +538,10 @@ class QuotientStrategy(DestroyerStrategy):
     def state(self, ids):
         return (
             self.h.vertex_set,
-            _seq_key(self.sim_rseq),
+            self.sim_rseq,
             self.j,
             self.padding,
-            _pending_key(self.pending),
+            self.pending,
             self.exhausted,
             _sub_id(self.inner, ids),
         )

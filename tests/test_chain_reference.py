@@ -44,8 +44,6 @@ from bakergame.strategies import (
     DestroyerStrategy,
     StrategyError,
     _build,
-    _pending_key,
-    _seq_key,
     _sub_id,
     build_strategy,
     parse_descriptor,
@@ -75,10 +73,10 @@ class NestedCliqueSum(DestroyerStrategy):
     def state(self, ids):
         return (
             self.base,
-            _seq_key(self.sim_rseq),
+            self.sim_rseq,
             self.j,
             self.phase,
-            _pending_key(self.pending),
+            self.pending,
             self.exhausted,
             _sub_id(self.inner, ids),
         )

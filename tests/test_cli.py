@@ -297,6 +297,28 @@ def test_annotated_file_outputs_pinned(tmp_path, capsys, command, problem, diges
     assert code == 0 and _sha256(out) == digest
 
 
+@pytest.mark.parametrize("command", ["solve", "oracle"])
+@pytest.mark.parametrize(
+    "colors, ann, error",
+    [
+        ("-1", {}, "colors must be at least 1, got -1"),
+        ("0", {}, "colors must be at least 1, got 0"),
+        ("2", {"list:5": {0, 1}, "list:1": {2}}, "a listed color lies outside 1..2"),
+    ],
+    ids=["negative", "zero", "listed"],
+)
+def test_bad_colors_exit(tmp_path, capsys, command, colors, ann, error):
+    path = tmp_path / "g.gr"
+    path.write_text(write_graph(gen_grid(2, 2), ann))
+    argv = [command, "--problem", "ccolorable", "--graph", str(path), "--colors", colors]
+    if command == "solve":
+        argv += ["--strategy", "minorfree:5", "--k", "2"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: %s\n" % error
+
+
 def test_solve_infeasible_exit(tmp_path, capsys):
     g = tmp_path / "g.gr"
     g.write_text("p graph 2 1\ne 0 1\na hit:0\n")

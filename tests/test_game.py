@@ -188,6 +188,37 @@ def test_play_referees_replies_that_are_not_canonical():
     assert t.replay(state).finished
 
 
+class OddReplyPreserver(Preserver):
+    """Answers with what make(lo, hi) returns for the first canonical
+    interval (lo, hi)."""
+
+    def __init__(self, make):
+        self.make = make
+
+    def choose(self, state, layering, replies):
+        return self.make(*replies[0][0])
+
+
+@pytest.mark.parametrize(
+    "make, shown",
+    [
+        (lambda lo, hi: None, "None"),
+        (lambda lo, hi: (0.5, 1.5), "(0.5, 1.5)"),
+        (lambda lo, hi: [lo, hi], "[-1, 0]"),
+        (lambda lo, hi: (hi, lo), "(0, -1)"),
+    ],
+    ids=["none", "floats", "list", "reversed"],
+)
+def test_play_ends_invalid_on_a_reply_that_is_no_interval(make, shown):
+    # anything but a tuple (lo, hi) of ints with lo <= hi ends the game
+    # invalid, naming the reply, before it is played
+    g, strat, _ = build_strategy("minorfree:5", gen_grid(3, 3))
+    t = play(strat, OddReplyPreserver(make), GameState(g, ConstSeq(2)))
+    assert (t.outcome, t.rounds) == ("invalid", 0)
+    assert t.diagnostic == "reply %s is not an interval (lo, hi) of integers" % shown
+    assert t.to_lines() == ["outcome invalid"]
+
+
 def test_play_budget():
     g = OrderedGraph(range(5), [])
     t = play(EdgelessStrategy(), MaxKeepPreserver(), GameState(g, ConstSeq(1)), budget=1)

@@ -3,7 +3,7 @@ oracles, checked against exact references: the greedy along a perfect
 elimination order for independent sets, and 0/1 programs solved by
 scipy.optimize.milp for dominating sets and 2-colourable subgraphs.
 The library itself never imports scipy.  Minimax round counts on
-graphs with a few hundred vertices stay within round_bound."""
+graphs with up to 4,096 vertices stay within round_bound."""
 
 import numpy as np
 import pytest
@@ -100,3 +100,24 @@ def test_minimax_rounds_stay_within_the_bound_at_scale(text, graph, rounds):
     for c, want in zip((1, 2), rounds):
         value = minimax_rounds(strat, GameState(g2, ConstSeq(c)))
         assert value == want <= round_bound(strat.descriptor, ConstSeq(c)), (text, c)
+
+
+@pytest.mark.parametrize(
+    "text, graph, pinned",
+    [
+        pytest.param("chordal:2", lambda: gen_ktree(1024, 2), ((5, 6), (12, 30)), id="2-tree-1024"),
+        pytest.param("chordal:2", lambda: gen_ktree(4096, 2), ((5, 6), (13, 30)), id="2-tree-4096"),
+        pytest.param("chordal:3", lambda: gen_ktree(1024, 3), ((7, 8), (19, 93)), id="3-tree-1024"),
+        pytest.param("minorfree:5", lambda: gen_grid(32, 32), ((18, 32), (74, 651)), id="grid-32x32"),
+        pytest.param("minorfree:5", lambda: gen_grid(64, 64), ((18, 32), (68, 651)), id="grid-64x64"),
+    ],
+)
+def test_round_counts_pinned_up_to_n_4096(text, graph, pinned):
+    # (minimax_rounds, round_bound) at const:1 and const:2: the worst
+    # case barely moves as n grows fourfold, and stays within the bound
+    g2, strat, _ = build_strategy(text, graph())
+    got = tuple(
+        (minimax_rounds(strat, GameState(g2, ConstSeq(c))), round_bound(strat.descriptor, ConstSeq(c)))
+        for c in (1, 2)
+    )
+    assert got == pinned

@@ -145,3 +145,44 @@ def test_geom_rejects_non_finite_parameters(a, b):
         GeomSeq(float(a), float(b))
     with pytest.raises(SequenceError):
         parse_rseq("geom:%s,%s" % (a, b))
+
+
+@pytest.mark.parametrize(
+    "r", [ConstSeq(3), GeomSeq(1.5, 1.25), ScheduleSeq("mis", 2), ThinnedSeq(ConstSeq(2), 3)]
+)
+def test_sequences_compare_by_structure(r):
+    # two views to the same indices are one value, and hash alike
+    assert r.tail(2).tail(3) == r.tail(5)
+    assert hash(r.tail(2).tail(3)) == hash(r.tail(5))
+    assert r.paired().tail(1) == r.paired().tail(1)
+    assert r.tail(5) != ScheduleSeq("domset", 2).tail(5)
+    if not isinstance(r, ConstSeq):
+        assert r.paired().tail(1) != r.tail(1).paired()
+
+
+def test_a_constant_is_its_own_tail():
+    for c in (1, 7):
+        assert ConstSeq(c).tail(9) == ConstSeq(c)
+        assert hash(ConstSeq(c).tail(9)) == hash(ConstSeq(c))
+    assert ConstSeq(1) != ConstSeq(2)
+
+
+def test_thinned_sequences_compare_whatever_they_indexed():
+    r = ConstSeq(2)
+    a, b = ThinnedSeq(r, 2), ThinnedSeq(r, 2)
+    a.index(6)
+    assert a == b != ThinnedSeq(r, 3)
+    assert hash(a) == hash(b)
+    b.index(9)
+    assert a == b and hash(a) == hash(b)
+    assert a.tail(4) == b.tail(4) != ThinnedSeq(r, 3).tail(4)
+
+
+def test_huge_tail_indices_hash_and_compare():
+    # past Python's 4,300-digit limit for printing an int
+    far = 10**5000
+    r = ScheduleSeq("mis", 2)
+    assert r.tail(far).tail(1) == r.tail(far + 1)
+    assert hash(r.tail(far).tail(1)) == hash(r.tail(far + 1))
+    assert r.tail(far) != r.tail(far + 1)
+    assert len({ThinnedSeq(r, 2).tail(far), ThinnedSeq(r, 2).tail(far)}) == 1
