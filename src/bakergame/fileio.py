@@ -154,10 +154,15 @@ def parse_embedding(text):
     return Embedding(dim, beta, coords)
 
 
+def _float_text(x):
+    """x as text that reads back equal: its repr, less a trailing ".0"."""
+    text = repr(x)
+    return text[:-2] if text.endswith(".0") else text
+
+
 def write_embedding(emb):
     n = len(emb.coords)
-    lines = ["p embed %d %d %s" % (n, emb.dim, ("%g" % emb.beta))]
+    lines = ["p embed %d %d %s" % (n, emb.dim, _float_text(emb.beta))]
     for v in sorted(emb.coords):
-        xs = " ".join("%g" % x for x in emb.coords[v])
-        lines.append("c %d %s" % (v, xs))
+        lines.append("c %d %s" % (v, " ".join(map(_float_text, emb.coords[v]))))
     return "\n".join(lines) + "\n"

@@ -35,7 +35,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, count, product
+from itertools import combinations, product
 
 from .covers import Cover, margin, occupied_intervals, plan_dp
 # apply_restrict stays bound for perfbench/tracer.py; children use _restricted
@@ -185,27 +185,11 @@ class _Restrict:
     kept: dict = field(default_factory=dict)
 
 
-class StateIds:
-    """Numbers strategy memories for the position table of one search:
-    state_id() gives two strategies the same number exactly when their
-    memories are equal.  The serial tells cached numbers of different
-    tables apart."""
-
-    _serials = count()
-
-    def __init__(self):
-        self.serial = next(self._serials)
-        self._ids = {}
-
-    def number(self, key):
-        return self._ids.setdefault(key, len(self._ids))
-
-
 class _Search:
     """Per-solve budget and node count, plus the table of game positions.
 
-    A position is the strategy's memory (numbered by the StateIds table
-    ids), the round and the live vertices; two nodes share one exactly
+    A position is the strategy (a value, equal exactly when memories
+    are), the round and the live vertices; two nodes share one exactly
     when they differ at most in their instance.  positions[i] is the
     (strategy, state) pair that first reached position i, until a node
     there calls expand, which plays the strategy once and leaves a
@@ -213,14 +197,13 @@ class _Search:
     position: its id is None, and the strategy does not observe the
     move that reaches it."""
 
-    __slots__ = ("deadline", "max_nodes", "prob", "nodes", "ids", "positions", "_index")
+    __slots__ = ("deadline", "max_nodes", "prob", "nodes", "positions", "_index")
 
     def __init__(self, prob, deadline=None, max_nodes=None):
         self.deadline = deadline
         self.max_nodes = max_nodes
         self.prob = prob
         self.nodes = 0
-        self.ids = StateIds()
         self.positions = []
         self._index = {}
 
@@ -230,7 +213,7 @@ class _Search:
         g = state.graph
         if g.n == 0:
             return None
-        key = (strat.state_id(self.ids), state.round, g.vertices[0], g.vertex_bits())
+        key = (strat, state.round, g.vertices[0], g.vertex_bits())
         pid = self._index.get(key)
         if pid is None:
             pid = self._index[key] = len(self.positions)

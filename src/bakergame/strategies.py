@@ -7,24 +7,23 @@ the move.  Neither changes the object it is called on, so adversarial
 search and branching solvers explore replies by observing each one on
 the same strategy.
 
-A move that changes memory starts from a shallow copy, self.fork(), and
-rebinds attributes of the copy only; a move that changes nothing
-returns self.  Graphs, sequences, partitions and layerings are never
-mutated, so a copy shares all of them.  A composite advances a
-sub-strategy by rebinding the successor it returns.  A composite whose
-whole remaining game is one sub-strategy on the real game hands over
-instead of wrapping it: the move returns the sub-strategy's move and
-successor.  So a chordal strategy becomes its chain once it knows the
-levels, and a chain becomes its leaf once its top base is gone.
-state_id() numbers a strategy's memory within a StateIds table (equal
-numbers exactly for equal memory) and caches the number, which stays
-valid because an object's memory is fixed once a move returns it; the
-solvers' position table keys on it.  The number is that of (class,
-descriptor, state): every strategy of one search comes from one
-build_strategy call on one graph and embedding, so its descriptor fixes
-the partition, embedding and leaf it plays with.  A state holds its
-simulated sequences and pending moves as they are, since sequences and
-Actions compare and hash as values.
+A move that changes memory returns self.fork(**changes), a shallow copy
+with the changed attributes rebound; a move that changes nothing returns
+self.  Graphs, sequences, partitions and layerings are never mutated, so
+a copy shares all of them.  A composite whose whole remaining game is
+one sub-strategy on the real game hands over instead of wrapping it: the
+move returns the sub-strategy's move and successor.  So a chordal
+strategy becomes its chain once it knows the levels, and a chain becomes
+its leaf once its top base is gone.
+
+Strategies compare and hash as values, by class and memory, so the
+solvers' position table keys on the strategy itself.  What a descriptor
+fixes (partition, embedding, leaf, layers) is left out of the
+comparison: every strategy of one search comes from one build_strategy
+call on one graph and embedding, so equal descriptors mean equal
+partitions, embeddings and leaves.  Memory holds simulated sequences,
+pending moves and sub-strategies as they are, since sequences and
+Actions compare as values too.
 
 The composite strategies mimic an inner game: the clique-sum strategy
 simulates play on its base, the quotient strategy simulates play on
@@ -66,13 +65,17 @@ class DestroyerStrategy:
     """Base class of strategy values.  next_action(state) returns
     (action, successor) and observe(action, reply, new_state) the
     successor; neither assigns an attribute of self outside __init__.
-    A changing move rebinds attributes of self.fork() instead.
-    descriptor fixes what stays the same for the object's lifetime, and
-    state(ids) is a hashable value of the rest, with sub-strategies
-    given by their state_id."""
+    A changing move returns self.fork(**changes) instead.
+
+    Strategies compare and hash as values: two are equal exactly when
+    they share a class and every attribute not named in _fixed, which
+    lists what the descriptor fixes.  _key may project an attribute to
+    what the moves depend on.  The first hash makes the key and keeps
+    it: an object's memory is fixed once a move returns it."""
 
     descriptor = None
-    _sid = None
+    _fixed = ()
+    _keyed = None  # (hash, key), made by the first hash
 
     def next_action(self, state):
         raise NotImplementedError
@@ -80,42 +83,33 @@ class DestroyerStrategy:
     def observe(self, action, reply, new_state):
         return self
 
-    def fork(self):
-        """A shallow copy without the cached state number, for a move to
-        change."""
+    def fork(self, **changes):
+        """A copy with the attributes in changes rebound, without the
+        cached key."""
         clone = object.__new__(type(self))
-        clone.__dict__.update(self.__dict__)
-        clone._sid = None
+        memory = clone.__dict__ = vars(self) | changes
+        memory.pop("_keyed", None)
         return clone
 
-    def _rebind(self, name, value):
-        """This strategy with attribute name bound to value: self when it
-        already is, otherwise a changed copy."""
-        if getattr(self, name) is value:
-            return self
-        clone = self.fork()
-        setattr(clone, name, value)
-        return clone
+    def _key(self, **views):
+        """The class and every attribute not in _fixed, with views
+        standing in for the attributes it names."""
+        memory = vars(self) | views
+        for name in self._fixed:
+            del memory[name]
+        return (type(self), *memory.values())
 
-    def state(self, ids):
-        raise NotImplementedError
+    def __hash__(self):
+        keyed = self._keyed
+        if keyed is None:
+            key = self._key()
+            keyed = self._keyed = (hash(key), key)
+        return keyed[0]
 
-    def state_id(self, ids):
-        """Number of this strategy's memory in ids, a ptas.StateIds
-        table: that of (class, descriptor, state).  All strategies
-        numbered in one table must come from one build_strategy call, so
-        that equal descriptors mean equal partitions, embeddings and
-        leaves."""
-        cached = self._sid
-        if cached is not None and cached[0] == ids.serial:
-            return cached[1]
-        sid = ids.number((type(self), self.descriptor, self.state(ids)))
-        self._sid = (ids.serial, sid)
-        return sid
-
-
-def _sub_id(sub, ids):
-    return None if sub is None else sub.state_id(ids)
+    def __eq__(self, other):
+        if self is other:
+            return True
+        return type(other) is type(self) and hash(self) == hash(other) and self._keyed[1] == other._keyed[1]
 
 
 # ---------------------------------------------------------------------------
@@ -246,28 +240,25 @@ class EdgelessStrategy(DestroyerStrategy):
     def __init__(self):
         self.phase = "restrict"
 
-    def state(self, ids):
-        return self.phase
-
     def next_action(self, state):
         if self.phase == "restrict":
             if state.graph.m:
                 raise StrategyError("graph has edges")
             if state.graph.n <= 1:
                 # nothing to separate
-                return Action.delete(), self._rebind("phase", "delete")
+                return Action.delete(), self.fork(phase="delete")
             try:
                 h = state.rseq.head
             except SequenceError:
                 # the window dwarfs any label spacing we could write down
-                return Action.delete(), self._rebind("phase", "delete")
+                return Action.delete(), self.fork(phase="delete")
             lam = {v: (i + 1) * h for i, v in enumerate(state.graph.vertices)}
             return Action.restrict(lam), self
         return Action.delete(), self
 
     def observe(self, action, reply, new_state):
         if action.kind != DELETE:
-            return self._rebind("phase", "delete")
+            return self.fork(phase="delete")
         return self
 
 
@@ -306,9 +297,6 @@ class ChordalStrategy(DestroyerStrategy):
         self.bfs = None  # the BFS Restrict, between its move and observe
         self.checked = False
 
-    def state(self, ids):
-        return (self.phase, self.checked, self.bfs)
-
     def next_action(self, state):
         g = state.graph
         if g.n == 1:
@@ -323,7 +311,7 @@ class ChordalStrategy(DestroyerStrategy):
                 raise StrategyError("left-degree %d exceeds %d" % (ld, self.d))
         if self.phase == "spread" and not g.is_connected():
             lam = spread_componentwise_layering(g, state.rseq.head)
-            return Action.restrict(lam), self._rebind("checked", True)
+            return Action.restrict(lam), self.fork(checked=True)
         # one component remains, so g is connected
         lam = bfs_layering(g, g.smallest())
         span = max(lam.values()) - min(lam.values()) + 1
@@ -334,15 +322,12 @@ class ChordalStrategy(DestroyerStrategy):
         if fits:
             # every level already fits one window, peel them directly
             return _make_chain(lam, self.d).next_action(state)
-        s = self.fork()
-        s.checked = True
-        s.phase = "bfs"
-        s.bfs = Action.restrict(lam)
-        return s.bfs, s
+        bfs = Action.restrict(lam)
+        return bfs, self.fork(checked=True, phase="bfs", bfs=bfs)
 
     def observe(self, action, reply, new_state):
         if self.phase == "spread":
-            return self._rebind("phase", "bfs")
+            return self.fork(phase="bfs")
         return _make_chain({v: self.bfs.layering[v] for v in new_state.graph.vertices}, self.d)
 
 
@@ -368,6 +353,8 @@ class CliqueSumStrategy(DestroyerStrategy):
     at each; one union-find sweep in rank order tells which of the nested
     frame graphs are connected."""
 
+    _fixed = ("layers", "rank", "leaf")
+
     def __init__(self, layers, bottom, leaf, descriptor):
         self.layers = tuple(frozenset(layer) for layer in layers)
         self.rank = {v: i for i, layer in enumerate(self.layers) for v in layer}
@@ -378,13 +365,13 @@ class CliqueSumStrategy(DestroyerStrategy):
         self.leaf = leaf
         self.descriptor = descriptor
 
-    def state(self, ids):
-        below, keys = frozenset(), []  # frame i's base is live & below
+    def _key(self):
+        # frame i's base is live & below; its moves never read the rest of live
+        below, frames = frozenset(), []
         for frame, layer in zip(self.frames, self.layers + (frozenset(),)):
-            live, sim, j, phase, pending, leaf, exhausted = frame
-            keys.append((live & below, sim, j, phase, pending, exhausted, _sub_id(leaf, ids)))
+            frames.append((frame[0] & below,) + frame[1:])
             below |= layer
-        return tuple(keys)
+        return super()._key(frames=tuple(frames))
 
     def _graph(self, g, i):
         """Frame i's part of g, the vertices of rank <= i."""
@@ -482,9 +469,7 @@ class CliqueSumStrategy(DestroyerStrategy):
                 pending = ("inner-restrict", a)
                 a = Action.restrict(self._lift(a.layering, g, i))
             frames[i] = (live, sim, j, "mimic", pending, None, False)
-        s = self.fork()
-        s.frames = tuple(frames)
-        return a, s
+        return a, self.fork(frames=tuple(frames))
 
     def observe(self, action, reply, new_state):
         g, top = new_state.graph, len(self.layers)
@@ -508,9 +493,7 @@ class CliqueSumStrategy(DestroyerStrategy):
                 frames[i] = frames[i][:5] + (leaf, exhausted)
             except SequenceError:
                 frames[i + 1] = frames[i + 1][:6] + (True,)
-        s = self.fork()
-        s.frames = tuple(frames)
-        return s
+        return self.fork(frames=tuple(frames))
 
 
 class QuotientStrategy(DestroyerStrategy):
@@ -521,6 +504,8 @@ class QuotientStrategy(DestroyerStrategy):
     Either way a burst of d * head padding Deletes keeps the real
     sequence aligned with the thinned one the simulation reads.
     descriptor is a QuotientD or MinorFreeD; its d is the width."""
+
+    _fixed = ("gp", "part_of")
 
     def __init__(self, inner, gp, descriptor):
         self.inner = inner
@@ -535,76 +520,59 @@ class QuotientStrategy(DestroyerStrategy):
         self.pending = None
         self.exhausted = False
 
-    def state(self, ids):
-        return (
-            self.h.vertex_set,
-            self.sim_rseq,
-            self.j,
-            self.padding,
-            self.pending,
-            self.exhausted,
-            _sub_id(self.inner, ids),
-        )
+    def _key(self):
+        # h is the quotient graph induced by its vertex set
+        return super()._key(h=self.h.vertex_set)
 
     def next_action(self, state):
         # padding follows a simulated move, so sim_rseq is set by then
         if self.exhausted or self.padding > 0:
             return Action.delete(), self
-        s = self.fork()
-        if self.sim_rseq is None:
+        sim_rseq, inner = self.sim_rseq, self.inner
+        if sim_rseq is None:
             if not check_geodesic_partition(state.graph, self.gp, self.d):
                 raise StrategyError("not a width-%d geodesic partition" % self.d)
-            s.sim_rseq = ThinnedSeq(state.rseq, self.d)
-        sim_state = GameState(self.h, s.sim_rseq.tail(self.j), self.j)
+            sim_rseq = ThinnedSeq(state.rseq, self.d)
+        sim_state = GameState(self.h, sim_rseq.tail(self.j), self.j)
         try:
-            a, s.inner = self.inner.next_action(sim_state)
+            a, inner = inner.next_action(sim_state)
             head = state.rseq.head
         except SequenceError:
             # windows past anything computable; deletions still finish
-            s.exhausted = True
-            return Action.delete(), s
+            return Action.delete(), self.fork(sim_rseq=sim_rseq, inner=inner, exhausted=True)
         if a.kind == DELETE:
             p = self.h.smallest()
             live = self.gp.parts[p] & state.graph.vertex_set
             lam_p = {v: self.gp.part_layerings[p][v] for v in live}
-            ext = extend_geodesic_layering(state.graph, live, lam_p)
-            s.pending = ("inner-delete", a, head)
-            return Action.restrict(ext), s
-        lam_h = a.layering
-        lam = {v: lam_h[self.part_of[v]] for v in state.graph.vertices}
-        s.pending = ("inner-restrict", a, head)
-        return Action.restrict(lam), s
+            lam = extend_geodesic_layering(state.graph, live, lam_p)
+        else:
+            lam = {v: a.layering[self.part_of[v]] for v in state.graph.vertices}
+        return Action.restrict(lam), self.fork(sim_rseq=sim_rseq, inner=inner, pending=(a, head))
 
     def observe(self, action, reply, new_state):
         if self.exhausted:
             return self
-        s = self.fork()
         if self.padding > 0:
-            s.padding = self.padding - 1
-            return s
-        tag, a, head = self.pending
-        s.pending = None
-        s.j = j = self.j + 1
+            return self.fork(padding=self.padding - 1)
+        a, head = self.pending
+        j = self.j + 1
         try:
-            if tag == "inner-delete":
-                new_h = self.h.induced(self.h.vertex_set - {self.h.smallest()})
+            if a.kind == DELETE:
+                new_h, reply = self.h.induced(self.h.vertex_set - {self.h.smallest()}), None
             else:
                 lo, hi = reply
                 new_h = self.h.induced(p for p in self.h.vertices if lo <= a.layering[p] <= hi)
-            inner_reply = None if tag == "inner-delete" else reply
-            sim_new = GameState(new_h, self.sim_rseq.tail(j), j)
-            s.inner = self.inner.observe(a, inner_reply, sim_new)
+            inner = self.inner.observe(a, reply, GameState(new_h, self.sim_rseq.tail(j), j))
         except SequenceError:
-            s.exhausted = True
-            return s
-        s.h = new_h
-        s.padding = self.d * head
-        return s
+            return self.fork(pending=None, j=j, exhausted=True)
+        return self.fork(pending=None, j=j, inner=inner, h=new_h, padding=self.d * head)
 
 
 class DistortionStrategy(DestroyerStrategy):
     """One coordinate Restrict per embedding axis, then deletes; the
     embedding guarantees few survivors once every axis is pinned."""
+
+    _fixed = ("emb",)
 
     def __init__(self, embedding):
         self.emb = embedding
@@ -613,26 +581,18 @@ class DistortionStrategy(DestroyerStrategy):
         self.heads = ()
         self.checked = False
 
-    def state(self, ids):
-        return (self.axis, self.heads, self.checked)
-
     def next_action(self, state):
         if not self.checked:
             validate_embedding(state.graph, self.emb)
         if self.axis >= self.emb.dim:
-            return Action.delete(), self._rebind("checked", True)
+            return Action.delete(), self  # the first Restrict checked the embedding
         lam = self.emb.coordinate_layering(state.graph, self.axis)
-        s = self.fork()
-        s.checked = True
-        s.heads = self.heads + (state.rseq.head,)
-        return Action.restrict(lam), s
+        return Action.restrict(lam), self.fork(checked=True, heads=self.heads + (state.rseq.head,))
 
     def observe(self, action, reply, new_state):
         if action.kind == DELETE or self.axis >= self.emb.dim:
             return self
-        s = self.fork()
-        s.axis = self.axis + 1
-        if s.axis == self.emb.dim:
+        if self.axis + 1 == self.emb.dim:
             cap = 1
             try:
                 for h in self.heads:
@@ -644,7 +604,7 @@ class DistortionStrategy(DestroyerStrategy):
                     "%d survivors exceed the %d guaranteed by the embedding"
                     % (new_state.graph.n, math.floor(cap))
                 )
-        return s
+        return self.fork(axis=self.axis + 1)
 
 
 # ---------------------------------------------------------------------------

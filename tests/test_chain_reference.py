@@ -4,7 +4,7 @@ NestedCliqueSum and nested_chain below are the earlier implementation:
 one CliqueSumStrategy per BFS layer, each simulating the next one down
 on its induced base.  They stay here as the reference the flat
 strategies.CliqueSumStrategy must match move for move, in minimax values
-and in how state_id tells memories apart.
+and in which of the strategy values met in play compare equal.
 """
 
 import random
@@ -27,7 +27,6 @@ from bakergame.game import (
 )
 from bakergame.generators import gen_ktree
 from bakergame.graph import OrderedGraph, spread_componentwise_layering
-from bakergame.ptas import StateIds
 from bakergame.sequences import (
     INDEX_LIMIT,
     ConstSeq,
@@ -44,7 +43,6 @@ from bakergame.strategies import (
     DestroyerStrategy,
     StrategyError,
     _build,
-    _sub_id,
     build_strategy,
     parse_descriptor,
     round_bound,
@@ -56,6 +54,8 @@ class NestedCliqueSum(DestroyerStrategy):
     simulated move of inner on the base; once the base is gone, a fresh
     leaf_factory() strategy moves and is the successor."""
 
+    _fixed = ("leaf_factory",)
+
     def __init__(self, base, inner, leaf_factory, descriptor):
         self.base = frozenset(base)
         self.inner = inner
@@ -66,20 +66,6 @@ class NestedCliqueSum(DestroyerStrategy):
         self.phase = "spread"
         self.pending = None
         self.exhausted = False
-
-    def config(self):
-        return (self.leaf_factory, self.descriptor)
-
-    def state(self, ids):
-        return (
-            self.base,
-            self.sim_rseq,
-            self.j,
-            self.phase,
-            self.pending,
-            self.exhausted,
-            _sub_id(self.inner, ids),
-        )
 
     def next_action(self, state):
         if self.exhausted:
@@ -230,35 +216,35 @@ def test_flat_chain_minimax_like_the_nested_chain():
             assert (v, got) == (w, want), (text, g.n, rs)
 
 
-def _walk_ids(strat, state, ids, out, depth):
-    """Number every strategy value met on all lines of play up to depth
-    moves, in a fixed order."""
-    out.append(strat.state_id(ids))
+def _walk_values(strat, state, out, depth):
+    """Every strategy value met on all lines of play up to depth moves,
+    in a fixed order."""
+    out.append(strat)
     if state.finished or depth == 0:
         return
     action, strat = strat.next_action(state)
-    out.append(strat.state_id(ids))
+    out.append(strat)
     if action.kind == DELETE:
         ns = apply_delete(state)
-        _walk_ids(strat.observe(action, None, ns), ns, ids, out, depth - 1)
+        _walk_values(strat.observe(action, None, ns), ns, out, depth - 1)
         return
     for iv, kept in legal_replies(state, action.layering):
         ns = _restricted(state, kept)
-        _walk_ids(strat.observe(action, iv, ns), ns, ids, out, depth - 1)
+        _walk_values(strat.observe(action, iv, ns), ns, out, depth - 1)
 
 
 def test_state_ids_split_memories_like_the_nested_chain():
-    # two values met in one walk get equal numbers in the flat build
-    # exactly when they do in the nested one
+    # two values met in one walk are equal in the flat build exactly
+    # when they are in the nested one
     for text, g in _corpus():
         if g.n > 12:
             continue
         for c in (1, 2):
             flat, ref = build_pair(text, g)
             got, want = [], []
-            _walk_ids(flat, GameState(g, ConstSeq(c)), StateIds(), got, 6)
+            _walk_values(flat, GameState(g, ConstSeq(c)), got, 6)
             with nested():
-                _walk_ids(ref, GameState(g, ConstSeq(c)), StateIds(), want, 6)
+                _walk_values(ref, GameState(g, ConstSeq(c)), want, 6)
             assert len(got) == len(want)
             pairs = set(zip(got, want))
             assert len(pairs) == len(set(got)) == len(set(want)), (text, g.n, c)
@@ -272,25 +258,19 @@ class Flaky(DestroyerStrategy):
     def __init__(self, inner, fail):
         self.inner, self.fail, self.calls = inner, fail, 0
 
-    def state(self, ids):
-        return (self.fail, self.calls, self.inner.state_id(ids))
-
     def _step(self):
         if self.calls + 1 == self.fail:
             raise SequenceError("flaky")
-        s = self.fork()
-        s.calls = self.calls + 1
-        return s
+        return self.calls + 1
 
     def next_action(self, state):
-        s = self._step()
-        a, s.inner = self.inner.next_action(state)
-        return a, s
+        calls = self._step()
+        a, inner = self.inner.next_action(state)
+        return a, self.fork(calls=calls, inner=inner)
 
     def observe(self, action, reply, new_state):
-        s = self._step()
-        s.inner = self.inner.observe(action, reply, new_state)
-        return s
+        calls = self._step()
+        return self.fork(calls=calls, inner=self.inner.observe(action, reply, new_state))
 
 
 class Brittle(RSequence):
@@ -349,11 +329,11 @@ def test_give_ups_like_the_nested_chain():
                 if v == "SequenceError":
                     continue
                 flat, ref = pair()
-                ids_flat, ids_ref = [], []
-                _walk_ids(flat, GameState(g, r), StateIds(), ids_flat, 5)
-                _walk_ids(ref, GameState(g, r), StateIds(), ids_ref, 5)
-                pairs = set(zip(ids_flat, ids_ref))
-                assert len(pairs) == len(set(ids_flat)) == len(set(ids_ref))
+                got, want = [], []
+                _walk_values(flat, GameState(g, r), got, 5)
+                _walk_values(ref, GameState(g, r), want, 5)
+                pairs = set(zip(got, want))
+                assert len(pairs) == len(set(got)) == len(set(want))
 
 
 def _rb_recursive(d, k, r):

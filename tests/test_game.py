@@ -141,9 +141,6 @@ class SpacedLabels(DestroyerStrategy):
     def __init__(self, step):
         self.step = step
 
-    def state(self, ids):
-        return self.step
-
     def next_action(self, state):
         return Action.restrict({v: self.step * i for i, v in enumerate(state.graph.vertices)}), self
 

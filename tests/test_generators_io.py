@@ -15,7 +15,7 @@ from bakergame.generators import (
     gen_ktree,
     gen_random_instance,
 )
-from bakergame.graph import check_chordal_ordering, validate_embedding
+from bakergame.graph import Embedding, OrderedGraph, check_chordal_ordering, validate_embedding
 
 
 def test_grid_shape():
@@ -84,6 +84,20 @@ def test_embedding_roundtrip(tmp_path):
     emb2 = parse_embedding(p.read_text())
     assert emb2.dim == emb.dim and emb2.beta == emb.beta
     assert emb2.coords == emb.coords
+
+
+def test_embedding_roundtrip_keeps_every_digit():
+    # six significant digits would stretch the edge to 2.0 > beta once
+    # read back, so a valid embedding must be written at full precision
+    g = OrderedGraph([0, 1], [(0, 1)])
+    emb = Embedding(1, 1.2, {0: (123456.4,), 1: (123457.6,)})
+    validate_embedding(g, emb)
+    emb2 = parse_embedding(write_embedding(emb))
+    assert (emb2.beta, emb2.coords) == (emb.beta, emb.coords)
+    validate_embedding(g, emb2)
+    assert write_embedding(Embedding(2, 0.1 + 0.2, {0: (1e16, -0.0)})) == (
+        "p embed 1 2 0.30000000000000004\nc 0 1e+16 -0\n"
+    )
 
 
 def test_parse_graph_comments_and_blanks():

@@ -460,9 +460,6 @@ class _SpacedLayering(DestroyerStrategy):
         vs = state.graph.vertices
         return Action.restrict({v: self.step * i for i, v in enumerate(vs)}), self
 
-    def state(self, ids):
-        return self.step
-
 
 def test_solver_refuses_a_non_layering():
     with pytest.raises(NotALayeringError):
@@ -592,13 +589,12 @@ class _PhantomLabels(DestroyerStrategy):
     graph's labels.  Records the vertex count of every graph it
     observes."""
 
+    _fixed = ("phantoms", "observed")
+
     def __init__(self, inner, phantoms, observed):
         self.inner = inner
         self.phantoms = phantoms
         self.observed = observed
-
-    def state(self, ids):
-        return self.inner.state_id(ids)
 
     def next_action(self, state):
         action, inner = self.inner.next_action(state)
@@ -606,14 +602,14 @@ class _PhantomLabels(DestroyerStrategy):
             lam, far = action.layering, 3 * state.rseq.head
             low, high = self.phantoms
             action = Action.restrict({**lam, low: min(lam.values()) - far, high: max(lam.values()) + far})
-        return action, self._rebind("inner", inner)
+        return action, self.fork(inner=inner)
 
     def observe(self, action, reply, new_state):
         self.observed.append(new_state.graph.n)
         if action.kind == RESTRICT:
             lam = action.layering
             action = Action.restrict({v: lab for v, lab in lam.items() if v not in self.phantoms})
-        return self._rebind("inner", self.inner.observe(action, reply, new_state))
+        return self.fork(inner=self.inner.observe(action, reply, new_state))
 
 
 def _counted_solve(monkeypatch, problem, inst, strategy):
@@ -643,9 +639,6 @@ def test_solver_ignores_layering_keys_outside_the_graph(monkeypatch):
 
 class _FailsAtTheEnd(DestroyerStrategy):
     """Deletes; observing the empty graph is an error."""
-
-    def state(self, ids):
-        return ()
 
     def next_action(self, state):
         return Action.delete(), self

@@ -1,7 +1,9 @@
-"""Approximation guarantees on 3-trees too large for the brute-force
-oracles, checked against exact references: the greedy along a perfect
-elimination order for independent sets, and 0/1 programs solved by
-scipy.optimize.milp for dominating sets and 2-colourable subgraphs.
+"""Approximation guarantees on 3-trees and grids too large for the
+brute-force oracles, checked against exact references: the greedy along
+a perfect elimination order for independent sets in 3-trees, closed
+forms for independent sets in grids and apex grids, and 0/1 programs
+solved by scipy.optimize.milp for dominating sets and 2-colourable
+subgraphs.
 The library itself never imports scipy.  Minimax round counts on
 graphs with up to 4,096 vertices stay within round_bound."""
 
@@ -81,6 +83,25 @@ def test_ccolorable_on_a_200_vertex_3tree_keeps_its_guarantee():
     rows += [[col[u, a], col[w, a]] for u, w in g2.edge_list() for a in range(colors)]
     opt = _milp_optimum(len(col), rows, -np.inf, 1, maximize=True)
     assert sol.size * K >= (K - 1) * opt, (sol.size, opt)
+
+
+@pytest.mark.parametrize(
+    "text, graph, k, opt",
+    [
+        pytest.param("minorfree:5", lambda: gen_grid(5, 80), 2, 200, id="grid-5x80-k2"),
+        pytest.param("minorfree:5", lambda: gen_grid(5, 80), 3, 200, id="grid-5x80-k3"),
+        pytest.param("minorfree:6", lambda: gen_apex_grid(10), 2, 50, id="apexgrid-10-k2"),
+    ],
+)
+def test_mis_on_grids_keeps_its_guarantee(text, graph, k, opt):
+    # criterion 8's 5-row grids and an apex grid need no MILP: an r x c
+    # grid has independence number ceil(rc / 2), and so has an apex grid
+    # once r * c > 2, since its apex sees every grid vertex
+    g2, st, _ = build_strategy(text, graph())
+    inst = ptas.ISInstance.full(g2)
+    sol = ptas.solve_mis(inst, st, k, memo=True)
+    assert sol.feasible and ptas.verify_solution("mis", inst, sol)
+    assert sol.size * k >= (k - 1) * opt, (sol.size, opt)
 
 
 @pytest.mark.parametrize(

@@ -96,11 +96,13 @@ def test_graphs_hold_no_instance_data():
 
 
 def test_strategy_moves_assign_nothing_on_self():
-    # strategies are values: outside __init__ a method rebinds attributes
-    # of a copy, never of self.  The state number cache in the base
-    # class's state_id is the only exception.
+    # strategies are values: outside __init__ a method builds a changed
+    # copy with one fork(**changes) call and rebinds nothing on self, nor
+    # on a copy once fork has returned it, since the copy's key could be
+    # cached by then.  The key cache in the base class is the only
+    # exception.
     path = pathlib.Path(bakergame.__file__).parent / "strategies.py"
-    allowed = {("DestroyerStrategy", "state_id", "_sid")}
+    allowed = {("DestroyerStrategy", "__hash__", "_keyed")}
     found = []
     for cls in ast.parse(path.read_text(), str(path)).body:
         if not isinstance(cls, ast.ClassDef):
@@ -110,6 +112,11 @@ def test_strategy_moves_assign_nothing_on_self():
         for fn in cls.body:
             if not isinstance(fn, ast.FunctionDef) or fn.name == "__init__":
                 continue
+            values = {"self"}  # self, and every name bound to what a fork call returns
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    if getattr(node.value.func, "attr", None) == "fork":
+                        values.update(t.id for t in node.targets if isinstance(t, ast.Name))
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
                     target, attr = node.args[0], "<setattr>"
@@ -117,10 +124,10 @@ def test_strategy_moves_assign_nothing_on_self():
                     target, attr = node.value, node.attr
                 else:
                     continue
-                named_self = isinstance(target, ast.Name) and target.id == "self"
-                if named_self and (cls.name, fn.name, attr) not in allowed:
-                    where = (cls.name, fn.name, attr, node.lineno)
-                    found.append("%s.%s sets self.%s at line %d" % where)
+                on_value = isinstance(target, ast.Name) and target.id in values
+                if on_value and (cls.name, fn.name, attr) not in allowed:
+                    where = (cls.name, fn.name, target.id, attr, node.lineno)
+                    found.append("%s.%s sets %s.%s at line %d" % where)
     assert found == []
 
 

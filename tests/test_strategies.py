@@ -317,12 +317,11 @@ def test_one_vertex_chordal_plays_the_edgeless_move(monkeypatch):
     scans = []
     monkeypatch.setattr(strategies, "check_chordal_ordering", scans.append)
     state = GameState(OrderedGraph([7]), ConstSeq(3))
-    ids = ptas.StateIds()
     want_action, want_next = EdgelessStrategy().next_action(state)
     for d in (1, 2, 3, 2000):
         action, succ = ChordalStrategy(d).next_action(state)
         assert action == want_action == Action.delete()
-        assert type(succ) is EdgelessStrategy and succ.state_id(ids) == want_next.state_id(ids)
+        assert type(succ) is EdgelessStrategy and succ == want_next
     assert scans == []
 
 
@@ -475,9 +474,9 @@ def test_hand_over_saves_strategy_copies(monkeypatch):
     calls = [0]
     fork = DestroyerStrategy.fork
 
-    def counted(self):
+    def counted(self, **changes):
         calls[0] += 1
-        return fork(self)
+        return fork(self, **changes)
 
     g2, st, _ = build_strategy("chordal:3", gen_ktree(8, 3, seed=4))
     monkeypatch.setattr(DestroyerStrategy, "fork", counted)
@@ -539,6 +538,67 @@ def test_fork_shares_static_config_and_stays_independent():
     # playing the fork to the end must not disturb the strategy it came from
     assert play(fork, parse_preserver("max"), state).outcome == "win"
     assert play(strat.fork(), parse_preserver("first"), state).to_json() == before
+
+
+class _Fresh:
+    """A fresh value, also where a strategy's key projects memory: as a
+    clique-sum frame's live set and as a quotient graph."""
+
+    def __and__(self, other):
+        return object()
+
+    @property
+    def vertex_set(self):
+        return object()
+
+
+def _compared_changes(strat):
+    """For each attribute that strat compares, its value with one fresh
+    value in it: a frame field for a clique-sum's frames, the whole
+    attribute otherwise."""
+    for name, value in vars(strat).items():
+        if name in strat._fixed or name == "_keyed":
+            continue
+        if name != "frames":
+            yield {name: _Fresh()}
+            continue
+        for i, frame in enumerate(value):
+            for f in range(len(frame)):
+                yield {name: value[:i] + (frame[:f] + (_Fresh(),) + frame[f + 1 :],) + value[i + 1 :]}
+
+
+def _with_sub_strategies(values):
+    """values and every sub-strategy they hold, by object."""
+    out, todo = {}, list(values)
+    while todo:
+        s = todo.pop()
+        out[id(s)] = s
+        held = list(vars(s).values()) + [f[5] for f in getattr(s, "frames", ())]
+        todo.extend(v for v in held if isinstance(v, DestroyerStrategy))
+    return out.values()
+
+
+def test_strategies_compare_as_values():
+    # a copy equals its original with an equal hash, and a fresh value in
+    # any attribute the descriptor does not fix splits them
+    from test_chain_reference import _corpus, _walk_values
+
+    diag, emb = gen_diag_grid(3)
+    cases = [(text, g) for text, g in _corpus() if g.n <= 12]
+    cases += [("quotient(chordal:2,2)", gen_ktree(8, 2, seed=4)), ("minorfree:5", gen_grid(3, 4))]
+    kinds = set()
+    for text, g in cases + [("distortion", diag)]:
+        g2, first, _ = build_strategy(text, g, emb)
+        for c in (1, 2):
+            met = []
+            _walk_values(first, GameState(g2, ConstSeq(c)), met, 6)
+            for s in _with_sub_strategies(met):
+                kinds.add(type(s))
+                copy = s.fork()
+                assert copy == s and hash(copy) == hash(s), (text, s)
+                for changes in _compared_changes(s):
+                    assert s.fork(**changes) != s, (text, type(s).__name__, changes)
+    assert kinds == {EdgelessStrategy, ChordalStrategy, CliqueSumStrategy, QuotientStrategy, DistortionStrategy}
 
 
 def _snapshot(strat, out):
