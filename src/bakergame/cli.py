@@ -366,7 +366,7 @@ def main(argv=None):
     except ptas.SolverInvariantError as exc:
         print("error: invalid solution: %s" % exc, file=sys.stderr)
         return EXIT_INVALID
-    except (FormatError, GraphError, SequenceError, StrategyError, ValueError) as exc:
+    except (FormatError, GraphError, SequenceError, StrategyError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_ERROR
 

@@ -61,6 +61,8 @@ def gen_ktree(n, d, seed=0):
     """Random d-tree on n vertices in construction order: a (d+1)-clique
     followed by vertices each adjacent to a random d-clique so far.  Its
     natural ordering is chordal with left-degree d."""
+    if d < 0:
+        raise ValueError("need d >= 0")
     if n < d + 1:
         raise ValueError("need at least d + 1 vertices")
     rng = random.Random(seed)

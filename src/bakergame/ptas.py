@@ -684,6 +684,8 @@ _COLORABLE = _Problem(
 
 
 def _solve(prob, graph, inst, strategy, k, memo, deadline_seconds, max_nodes):
+    if deadline_seconds != deadline_seconds:  # NaN compares false with every clock reading
+        raise PtasError("the deadline is not a number")
     dl = None if deadline_seconds is None else time.monotonic() + deadline_seconds
     search = _Search(prob, dl, max_nodes)
     pid = search.position(strategy, GameState(graph, ScheduleSeq(prob.name, k)))

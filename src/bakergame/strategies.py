@@ -67,11 +67,12 @@ class DestroyerStrategy:
     successor; neither assigns an attribute of self outside __init__.
     A changing move returns self.fork(**changes) instead.
 
-    Strategies compare and hash as values: two are equal exactly when
-    they share a class and every attribute not named in _fixed, which
-    lists what the descriptor fixes.  _key may project an attribute to
-    what the moves depend on.  The first hash makes the key and keeps
-    it: an object's memory is fixed once a move returns it."""
+    Strategies compare and hash as values: two are equal exactly when they
+    share a class and every attribute not named in _fixed, which lists what
+    the descriptor or other attributes fix.  Memory holds only what the
+    moves read; _key may project it further (the quotient keys its graph by
+    its vertex set).  The first hash makes the key and keeps it: an object's
+    memory is fixed once a move returns it."""
 
     descriptor = None
     _fixed = ()
@@ -284,8 +285,9 @@ class ChordalStrategy(DestroyerStrategy):
     """For chordal ordered graphs of left-degree <= d: isolate one
     component, restrict to few levels of a breadth-first layering, then
     peel the surviving levels as a chain of clique-sums over pieces of
-    left-degree <= d-1.  The chain is the successor: once the levels are
-    known, the move that builds it returns the chain itself, not a
+    left-degree <= d-1.  Only phase "spread" checks the ordering.  The
+    chain is the successor: observe builds it from the BFS Restrict, and
+    a move that already knows the levels returns the chain itself, not a
     chordal strategy around it."""
 
     def __init__(self, d):
@@ -294,8 +296,6 @@ class ChordalStrategy(DestroyerStrategy):
         self.d = d
         self.descriptor = ChordalD(d)
         self.phase = "spread"
-        self.bfs = None  # the BFS Restrict, between its move and observe
-        self.checked = False
 
     def next_action(self, state):
         g = state.graph
@@ -303,15 +303,15 @@ class ChordalStrategy(DestroyerStrategy):
             # chordal with left-degree 0: the move and successor that the
             # d nested builds would reach
             return EdgelessStrategy().next_action(state)
-        if not self.checked:
+        if self.phase == "spread":
             ok, ld = check_chordal_ordering(g)
             if not ok:
                 raise StrategyError("ordering is not chordal")
             if ld > self.d:
                 raise StrategyError("left-degree %d exceeds %d" % (ld, self.d))
-        if self.phase == "spread" and not g.is_connected():
-            lam = spread_componentwise_layering(g, state.rseq.head)
-            return Action.restrict(lam), self.fork(checked=True)
+            if not g.is_connected():
+                lam = spread_componentwise_layering(g, state.rseq.head)
+                return Action.restrict(lam), self
         # one component remains, so g is connected
         lam = bfs_layering(g, g.smallest())
         span = max(lam.values()) - min(lam.values()) + 1
@@ -322,13 +322,12 @@ class ChordalStrategy(DestroyerStrategy):
         if fits:
             # every level already fits one window, peel them directly
             return _make_chain(lam, self.d).next_action(state)
-        bfs = Action.restrict(lam)
-        return bfs, self.fork(checked=True, phase="bfs", bfs=bfs)
+        return Action.restrict(lam), self.fork(phase="bfs")
 
     def observe(self, action, reply, new_state):
         if self.phase == "spread":
             return self.fork(phase="bfs")
-        return _make_chain({v: self.bfs.layering[v] for v in new_state.graph.vertices}, self.d)
+        return _make_chain({v: action.layering[v] for v in new_state.graph.vertices}, self.d)
 
 
 class CliqueSumStrategy(DestroyerStrategy):
@@ -345,33 +344,25 @@ class CliqueSumStrategy(DestroyerStrategy):
     from the state, so no alignment padding is needed before a handover.
     descriptor is the top frame's CliqueSumD.
 
-    A frame is a tuple (live, sim_rseq, j, phase, pending, leaf,
-    exhausted): the vertex set it last saw a move on, its simulation's
-    sequence, round, phase and pending move, the strategy that plays for
-    it once its base is gone, and whether it gave up.  A move walks down
-    the frames to the one that acts and back up, translating the action
-    at each; one union-find sweep in rank order tells which of the nested
-    frame graphs are connected."""
+    A frame is a tuple (sim_rseq, j, phase, pending, leaf, exhausted):
+    its simulation's sequence, round and phase, its pending move
+    ("spread" for its own Restrict, else the simulated Action of the
+    frame below), the strategy that plays for it once its base is gone,
+    and whether it gave up; its base is read from the state.  A move
+    walks down the frames to the one that acts and back up, translating
+    the action at each; one union-find sweep in rank order tells which
+    of the nested frame graphs are connected."""
 
-    _fixed = ("layers", "rank", "leaf")
+    _fixed = ("rank", "leaf")  # not layers: the chains of one search differ there
 
     def __init__(self, layers, bottom, leaf, descriptor):
         self.layers = tuple(frozenset(layer) for layer in layers)
         self.rank = {v: i for i, layer in enumerate(self.layers) for v in layer}
-        live = frozenset(self.rank)
-        self.frames = ((live, None, 0, "spread", None, bottom, False),) + (
-            (live, None, 0, "spread", None, None, False),
+        self.frames = ((None, 0, "spread", None, bottom, False),) + (
+            (None, 0, "spread", None, None, False),
         ) * len(layers)
         self.leaf = leaf
         self.descriptor = descriptor
-
-    def _key(self):
-        # frame i's base is live & below; its moves never read the rest of live
-        below, frames = frozenset(), []
-        for frame, layer in zip(self.frames, self.layers + (frozenset(),)):
-            frames.append((frame[0] & below,) + frame[1:])
-            below |= layer
-        return super()._key(frames=tuple(frames))
 
     def _graph(self, g, i):
         """Frame i's part of g, the vertices of rank <= i."""
@@ -418,7 +409,7 @@ class CliqueSumStrategy(DestroyerStrategy):
 
     def next_action(self, state):
         g, top = state.graph, len(self.layers)
-        if not self.frames[top][6]:  # the top frame is not exhausted
+        if not self.frames[top][5]:  # the top frame is not exhausted
             low, connected = self._sweep(g)
             if low >= top:
                 # the top frame's base is gone: a fresh leaf plays the
@@ -428,7 +419,7 @@ class CliqueSumStrategy(DestroyerStrategy):
         rseq, rnd = state.rseq, state.round  # what frame i reads
         try:
             for i in range(top, -1, -1):  # down to the frame that acts
-                live, sim, j, phase, pending, leaf, exhausted = frames[i]
+                sim, j, phase, pending, leaf, exhausted = frames[i]
                 catch = i
                 if exhausted:
                     a = Action.delete()
@@ -437,62 +428,58 @@ class CliqueSumStrategy(DestroyerStrategy):
                     break
                 if sim is None:
                     sim = rseq.paired()
-                    frames[i] = (live, sim, j, phase, pending, leaf, exhausted)
+                    frames[i] = (sim, j, phase, pending, leaf, exhausted)
                 if low >= i:
                     break  # the base is gone: a fresh leaf plays
                 if phase == "spread" and not connected[i]:
                     a = Action.restrict(spread_componentwise_layering(self._graph(g, i), rseq.head))
-                    frames[i] = (live, sim, j, phase, ("spread", None), leaf, exhausted)
+                    frames[i] = (sim, j, phase, "spread", leaf, exhausted)
                     break
                 rseq, rnd = sim.tail(j), j
             if a is None:  # frame i's leaf moves
                 catch = i + 1
                 leaf = leaf or self.leaf
                 a, leaf = leaf.next_action(GameState(self._graph(g, i), rseq, rnd))
-                frames[i] = (live, sim, j, phase, pending, leaf, exhausted)
+                frames[i] = (sim, j, phase, pending, leaf, exhausted)
         except SequenceError:
             # the windows grew past anything computable: the frame that
             # met them deletes from now on (mimic if it was simulating)
             frames[:catch] = self.frames[:catch]
-            live, sim, j, phase, pending, leaf, _ = frames[catch]
-            frames[catch] = (live, sim, j, "mimic" if catch > i else phase, pending, leaf, True)
+            sim, j, phase, pending, leaf, _ = frames[catch]
+            frames[catch] = (sim, j, "mimic" if catch > i else phase, pending, leaf, True)
             i, a = catch, Action.delete()
         # up, translating a at each frame; a Delete of frame i's smallest
         # vertex is every frame's above exactly when it is g's smallest
         if a.kind == DELETE and self.rank.get(g.smallest(), top) > i:
             raise StrategyError("smallest vertex lies outside the base")
         for i in range(i + 1, top + 1):
-            live, sim, j = frames[i][:3]
-            if a.kind == DELETE:
-                pending = ("inner-delete", a)
-            else:
-                pending = ("inner-restrict", a)
+            frames[i] = frames[i][:2] + ("mimic", a, None, False)
+            if a.kind != DELETE:
                 a = Action.restrict(self._lift(a.layering, g, i))
-            frames[i] = (live, sim, j, "mimic", pending, None, False)
         return a, self.fork(frames=tuple(frames))
 
     def observe(self, action, reply, new_state):
         g, top = new_state.graph, len(self.layers)
         frames = list(self.frames)
         for i in range(top, -1, -1):  # down to the frame that moved
-            live, sim, j, phase, pending, leaf, exhausted = frames[i]
+            sim, j, phase, pending, leaf, exhausted = frames[i]
             if exhausted or leaf is not None:
                 break
-            tag, action = pending or (None, None)
-            if tag == "spread":
-                frames[i] = (live, sim, j, "mimic", None, None, False)
+            if pending == "spread":
+                frames[i] = (sim, j, "mimic", None, None, False)
                 break
-            frames[i] = (g.vertex_set, sim, j + 1, "spread", None, None, False)
-            reply = None if tag == "inner-delete" else reply
+            frames[i] = (sim, j + 1, "spread", None, None, False)
+            action = pending
+            reply = None if action.kind == DELETE else reply
         if leaf is not None:
             # the leaf observes; a sequence error there exhausts the frame
             # above
-            sim, j = frames[i + 1][1:3]
+            sim, j = frames[i + 1][:2]
             try:
                 leaf = leaf.observe(action, reply, GameState(self._graph(g, i), sim.tail(j), j))
-                frames[i] = frames[i][:5] + (leaf, exhausted)
+                frames[i] = frames[i][:4] + (leaf, exhausted)
             except SequenceError:
-                frames[i + 1] = frames[i + 1][:6] + (True,)
+                frames[i + 1] = frames[i + 1][:5] + (True,)
         return self.fork(frames=tuple(frames))
 
 
@@ -578,16 +565,15 @@ class DistortionStrategy(DestroyerStrategy):
         self.emb = embedding
         self.descriptor = DistortionD(embedding.dim, embedding.beta)
         self.axis = 0
-        self.heads = ()
-        self.checked = False
+        self.heads = ()  # one per axis restricted so far
 
     def next_action(self, state):
-        if not self.checked:
+        if not self.heads:
             validate_embedding(state.graph, self.emb)
         if self.axis >= self.emb.dim:
             return Action.delete(), self  # the first Restrict checked the embedding
         lam = self.emb.coordinate_layering(state.graph, self.axis)
-        return Action.restrict(lam), self.fork(checked=True, heads=self.heads + (state.rseq.head,))
+        return Action.restrict(lam), self.fork(heads=self.heads + (state.rseq.head,))
 
     def observe(self, action, reply, new_state):
         if action.kind == DELETE or self.axis >= self.emb.dim:

@@ -116,8 +116,7 @@ class NestedCliqueSum(DestroyerStrategy):
             s.phase = "mimic"
             return s
         s.j = j = self.j + 1
-        s.base = self.base & new_state.graph.vertex_set
-        sim_new = GameState(new_state.graph.induced(s.base), self.sim_rseq.tail(j), j)
+        sim_new = GameState(new_state.graph.induced(self.base), self.sim_rseq.tail(j), j)
         inner_reply = None if tag == "inner-delete" else reply
         try:
             s.inner = self.inner.observe(inner_action, inner_reply, sim_new)
@@ -248,6 +247,42 @@ def test_state_ids_split_memories_like_the_nested_chain():
             assert len(got) == len(want)
             pairs = set(zip(got, want))
             assert len(pairs) == len(set(got)) == len(set(want)), (text, g.n, c)
+
+
+def _moves_by_position(strat, state, moves, depth):
+    """Record in moves every action played on all lines of play up to
+    depth moves, under its position: the strategy, the round and the live
+    vertices."""
+    if state.finished or depth == 0:
+        return
+    action, succ = strat.next_action(state)
+    moves.setdefault((strat, state.round, state.graph.vertex_set), set()).add(action)
+    if action.kind == DELETE:
+        ns = apply_delete(state)
+        _moves_by_position(succ.observe(action, None, ns), ns, moves, depth - 1)
+        return
+    for iv, kept in legal_replies(state, action.layering):
+        ns = _restricted(state, kept)
+        _moves_by_position(succ.observe(action, iv, ns), ns, moves, depth - 1)
+
+
+@pytest.mark.parametrize("make", [strategies._make_chain, nested_chain], ids=["flat", "nested"])
+def test_chains_over_shifted_windows_split_positions(make):
+    # two windows of one BFS layering, shifted by a level, give chains
+    # with as many frames over the same vertices but other layers: they
+    # differ, and a position both reach has one move
+    for n, seed in ((9, 1), (10, 2), (12, 3), (14, 1)):
+        g = gen_ktree(n, 2, seed=seed)
+        lam = strategies.bfs_layering(g, g.smallest())
+        windows = [{v: (lab + shift) // 2 for v, lab in lam.items()} for shift in (0, 1)]
+        assert len(levels(windows[0])) == len(levels(windows[1])), (n, seed)
+        a, b = (make(w, 3) for w in windows)
+        assert a != b, (n, seed)
+        for c in (1, 2):
+            moves = {}
+            for chain in (a, b):
+                _moves_by_position(chain, GameState(g, ConstSeq(c)), moves, 5)
+            assert all(len(played) == 1 for played in moves.values()), (n, seed, c)
 
 
 class Flaky(DestroyerStrategy):

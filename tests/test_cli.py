@@ -391,6 +391,42 @@ def test_bad_file_exit(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_missing_or_unwritable_file_exit(tmp_path, capsys):
+    # a file that cannot be read or written is an input error, reported
+    # on one line, not a traceback
+    g = tmp_path / "g.gr"
+    run(capsys, ["generate", "grid", "--rows", "2", "--cols", "2", "-o", str(g)])
+    absent = str(tmp_path / "absent")
+    for argv in (
+        ["oracle", "--problem", "mis", "--graph", absent],
+        ["play", "--graph", str(g), "--strategy", "distortion", "--embedding", absent,
+         "--rseq", "const:1"],
+        ["generate", "grid", "--rows", "2", "--cols", "2", "-o", absent + "/g.gr"],
+        ["generate", "diaggrid", "--n", "2", "--embedding-out", absent + "/g.emb"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert err.startswith("error:"), (argv, err)
+
+
+def test_solve_nan_deadline_is_an_input_error(tmp_path, capsys):
+    # time.monotonic() > nan never holds, so a NaN deadline would never fire
+    g = tmp_path / "g.gr"
+    run(capsys, ["generate", "grid", "--rows", "2", "--cols", "2", "-o", str(g)])
+    code, out = run(
+        capsys,
+        ["solve", "--problem", "mis", "--graph", str(g),
+         "--strategy", "minorfree:5", "--k", "2", "--deadline", "nan"],
+    )
+    assert (code, out) == (1, "")
+
+
+def test_bench_nan_budget_is_an_input_error(capsys):
+    code, out = run(capsys, ["bench", "--sizes", "4", "--k", "1", "--per-size-budget", "nan"])
+    assert (code, out) == (1, "")
+
+
 def test_bench_small(tmp_path, capsys):
     code, out = run(capsys, ["bench", "--sizes", "9", "--k", "1", "--per-size-budget", "30"])
     assert code == 0

@@ -50,6 +50,11 @@ def test_ktree_is_chordal_with_left_degree():
         assert g.m <= 3 * g.n
 
 
+def test_ktree_needs_nonnegative_d():
+    with pytest.raises(ValueError, match="need d >= 0"):
+        gen_ktree(5, -1)
+
+
 def test_ktree_deterministic():
     a = gen_ktree(10, 2, seed=7)
     b = gen_ktree(10, 2, seed=7)
