@@ -81,14 +81,14 @@ def plan_dp(interval_costs, m_vector, mode="min"):
     # states: residual tuple -> (total, choices)
     states = {m_vector: (0, ())}
     for interval, table in interval_costs:
+        rows = sorted(table.items())  # keys are distinct, so only they are compared
+        if any(len(tup) != len(m_vector) for tup, _ in rows):
+            raise CoverError("tuple arity mismatch in plan table")
         nxt = {}
         for residual, (total, choices) in states.items():
-            for tup in sorted(table):
-                if len(tup) != len(m_vector):
-                    raise CoverError("tuple arity mismatch in plan table")
+            for tup, cost in rows:
                 if any(t > rr or t < 0 for t, rr in zip(tup, residual)):
                     continue
-                cost = table[tup]
                 rem = tuple(rr - t for rr, t in zip(residual, tup))
                 cand = (total + cost, choices + ((interval, tup),))
                 if rem not in nxt or better(cand[0], nxt[rem][0]):

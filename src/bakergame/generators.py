@@ -2,7 +2,7 @@
 
 import random
 
-from .graph import Embedding, OrderedGraph
+from .graph import _NO_NEIGHBOURS, Embedding, OrderedGraph
 
 
 def gen_grid(rows, cols):
@@ -66,21 +66,22 @@ def gen_ktree(n, d, seed=0):
     if n < d + 1:
         raise ValueError("need at least d + 1 vertices")
     rng = random.Random(seed)
-    base = list(range(d + 1))
-    edges = [(u, v) for i, u in enumerate(base) for v in base[i + 1 :]]
-    cliques = [tuple(base)]
+    base = tuple(range(d + 1))
+    # neighbour sets grow in increasing order, as an edge list would fill them
+    nbrs = [set(base[:v] + base[v + 1 :]) for v in base]
+    cliques = [base]
     for v in range(d + 1, n):
-        clique = list(rng.choice(cliques))
-        if d:
-            drop = rng.randrange(len(clique))
-            rest = clique[:drop] + clique[drop + 1 :]
-        else:
-            rest = []
+        clique = rng.choice(cliques)  # d + 1 vertices in increasing order
+        drop = rng.randrange(d + 1) if d else 0
+        rest = clique[:drop] + clique[drop + 1 :]
         for u in rest:
-            edges.append((u, v))
-        cliques.append(tuple(sorted(rest + [v])))
-        cliques.append(tuple(clique))
-    return OrderedGraph(range(n), edges)
+            nbrs[u].add(v)
+        nbrs.append(set(rest))
+        cliques.append(rest + (v,))
+        cliques.append(clique)
+    vs = tuple(range(n))
+    adj = {v: frozenset(s) or _NO_NEIGHBOURS for v, s in enumerate(nbrs)}
+    return OrderedGraph._raw(vs, frozenset(vs), adj, d * (d + 1) // 2 + (n - d - 1) * d)
 
 
 def gen_random_instance(problem, graph, seed=0, colors=2):

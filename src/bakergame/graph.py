@@ -393,16 +393,11 @@ def quotient(graph, parts):
         seen |= p
     if seen != graph.vertex_set:
         raise PartitionError("parts do not cover the vertex set")
-    where = {}
-    for i, p in enumerate(parts):
-        for v in p:
-            where[v] = i
-    edges = set()
-    for u, v in graph.edge_list():
-        a, b = where[u], where[v]
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return OrderedGraph(range(len(parts)), edges)
+    where = {v: i for i, p in enumerate(parts) for v in p}
+    nbrs = [{where[w] for v in p for w in graph.adj[v]} - {i} for i, p in enumerate(parts)]
+    vs = tuple(range(len(parts)))
+    adj = {i: frozenset(s) or _NO_NEIGHBOURS for i, s in enumerate(nbrs)}
+    return OrderedGraph._raw(vs, frozenset(vs), adj, sum(map(len, nbrs)) // 2)
 
 
 def check_chordal_ordering(graph):

@@ -123,7 +123,8 @@ class ColorInstance:
             raise PtasError("colors must be at least 1, got %d" % self.colors)
         if dict(self.lists).keys() != set(self.graph.vertex_set):
             raise PtasError("lists do not match the vertex set")
-        if any(not 1 <= a <= self.colors for _, lst in self.lists for a in lst):
+        listed = frozenset().union(*(lst for _, lst in self.lists))  # each colour checked once
+        if any(not 1 <= a <= self.colors for a in listed):
             raise PtasError("a listed color lies outside 1..%d" % self.colors)
 
     @staticmethod

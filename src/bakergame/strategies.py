@@ -682,10 +682,10 @@ def chordal_geodesic_partition(graph, k):
     depth layering has width at most max(k-2, 1).
 
     A piece costs about the size of its new part and its smaller
-    children: contacts come from each boundary part's neighbours, the
-    search from the root stops at the first level that reaches every
-    boundary part, tree parents are found only along the paths, and
-    _split_off never walks the largest child.
+    children: it hands each child its contacts with the boundary and
+    new parts, the search from the root stops at the first level that
+    reaches every boundary part, tree parents are found only along the
+    paths, and _split_off never walks the largest child.
     """
     if k < 3:
         raise GraphError("need k >= 3, got %d" % k)
@@ -693,11 +693,10 @@ def chordal_geodesic_partition(graph, k):
     adj = graph.adj
     part_sets = []
     part_depths = []
-    queue = deque((comp, ()) for comp in graph.components())
+    # a piece, its boundary parts and the vertices of the piece adjacent to each
+    queue = deque((comp, (), ()) for comp in graph.components())
     while queue:
-        comp, boundary = queue.popleft()
-        # the vertices of comp adjacent to each boundary part
-        touch = [frozenset(w for u in part_sets[q] for w in adj[u] if w in comp) for q in boundary]
+        comp, boundary, touch = queue.popleft()
         root = min(touch[-1]) if boundary else min(comp)
         # breadth-first levels of comp, up to the first that leaves no
         # boundary part without a contact
@@ -715,13 +714,15 @@ def chordal_geodesic_partition(graph, k):
         idx = len(part_sets)
         part_sets.append(frozenset(part))
         part_depths.append({v: depth[v] for v in part})
+        around = frozenset().union(*(adj[v] for v in part))
         for child in _split_off(adj, comp, part_sets[idx]):
             # every child touches the new part, comp being connected
-            near = tuple(q for q, t in zip(boundary, touch) if not t.isdisjoint(child)) + (idx,)
+            near = [(q, c) for q, t in zip(boundary, touch) if (c := t & child)]
+            near.append((idx, around & child))
             if len(near) > d:
-                branch = tuple(part_sets[q] for q in near[: k - 1]) + (child,)
+                branch = tuple(part_sets[q] for q, _ in near[: k - 1]) + (child,)
                 return MinorWitness(k, branch)
-            queue.append((child, near))
+            queue.append((child, *zip(*near)))
     order = []
     for i, p in enumerate(part_sets):
         order.extend(sorted(p, key=lambda v: (part_depths[i][v], v)))

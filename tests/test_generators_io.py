@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bakergame.fileio import (
@@ -59,6 +61,38 @@ def test_ktree_deterministic():
     a = gen_ktree(10, 2, seed=7)
     b = gen_ktree(10, 2, seed=7)
     assert a.edge_list() == b.edge_list()
+
+
+def _reference_ktree(n, d, seed=0):
+    """The earlier gen_ktree: an edge list handed to the validating
+    constructor, drawing from the generator in the same order."""
+    rng = random.Random(seed)
+    base = list(range(d + 1))
+    edges = [(u, v) for i, u in enumerate(base) for v in base[i + 1 :]]
+    cliques = [tuple(base)]
+    for v in range(d + 1, n):
+        clique = list(rng.choice(cliques))
+        if d:
+            drop = rng.randrange(len(clique))
+            rest = clique[:drop] + clique[drop + 1 :]
+        else:
+            rest = []
+        for u in rest:
+            edges.append((u, v))
+        cliques.append(tuple(sorted(rest + [v])))
+        cliques.append(tuple(clique))
+    return OrderedGraph(range(n), edges)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3, 5])
+def test_ktree_matches_the_edge_list_reference(d):
+    for n in (d + 1, 8, 50, 1000):
+        for seed in range(20):
+            got, want = gen_ktree(n, d, seed), _reference_ktree(n, d, seed)
+            assert (got.vertices, got.vertex_set, got.m) == (want.vertices, want.vertex_set, want.m)
+            assert got.adj == want.adj
+            # neighbour sets iterate in the same order, so every walk over them does too
+            assert all(list(got.adj[v]) == list(want.adj[v]) for v in want.vertices)
 
 
 def test_random_instance_kinds():

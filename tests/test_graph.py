@@ -218,6 +218,28 @@ def test_partition_check_needs_no_per_vertex_bfs():
     assert calls == 0
 
 
+class _CountingAdjacency(dict):
+    """Neighbour sets that count the entries handed out."""
+
+    entries = 0
+
+    def __getitem__(self, v):
+        nbrs = dict.__getitem__(self, v)
+        self.entries += len(nbrs)
+        return nbrs
+
+
+def test_minorfree_partition_of_a_4096_vertex_3tree_is_valid_and_linear():
+    g = gen_ktree(4096, 3, seed=1)
+    adj = _CountingAdjacency(g.adj)
+    res = chordal_geodesic_partition(OrderedGraph(g.vertices, _adj=adj), 5)
+    assert check_geodesic_partition(res.graph, res.gp, 3)
+    assert check_chordal_ordering(res.gp.quotient_graph) == (True, 3)
+    # each piece hands its children their contacts with the boundary parts;
+    # rescanning every boundary part per piece read about 290 (n + 2m) entries
+    assert adj.entries < 10 * (g.n + 2 * g.m)
+
+
 def test_partition_check_builds_no_suffix_graphs(monkeypatch):
     # part i's suffix graph is never built: the only induced graphs are
     # the parts themselves, for their partial-layering check
@@ -361,6 +383,44 @@ def test_quotient_graph():
     h = quotient(g, parts)
     assert h.vertices == (0, 1)
     assert h.has_edge(0, 1)
+
+
+def test_quotient_matches_brute_force_contraction():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randrange(1, 30)
+        g = OrderedGraph(
+            range(n), [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.15]
+        )
+        cuts = sorted(rng.sample(range(1, n), rng.randrange(n)))
+        parts = [frozenset(range(a, b)) for a, b in zip([0] + cuts, cuts + [n])]
+        want = OrderedGraph(
+            range(len(parts)),
+            [
+                (i, j)
+                for i, p in enumerate(parts)
+                for j, q in enumerate(parts)
+                if i < j and any(g.has_edge(u, v) for u in p for v in q)
+            ],
+        )
+        got = quotient(g, parts)
+        assert (got.vertices, got.vertex_set, got.m) == (want.vertices, want.vertex_set, want.m)
+        assert got.adj == want.adj and got == want
+
+
+@pytest.mark.parametrize(
+    "parts,error",
+    [
+        ([{0, 1}, set(), {2, 3}], "empty part"),
+        ([{0, 1}, {1, 2, 3}], "parts overlap"),
+        ([{0, 2}, {1, 3}], "parts do not respect the vertex order"),
+        ([{0, 1}, {2}], "parts do not cover the vertex set"),
+        ([{0, 1}, {2, 3, 4}], "parts do not cover the vertex set"),
+    ],
+)
+def test_quotient_rejects_bad_partitions(parts, error):
+    with pytest.raises(PartitionError, match="^%s$" % error):
+        quotient(path(4), [frozenset(p) for p in parts])
 
 
 def test_chordal_ordering_check():
