@@ -309,11 +309,11 @@ class ChordalStrategy(DestroyerStrategy):
                 raise StrategyError("ordering is not chordal")
             if ld > self.d:
                 raise StrategyError("left-degree %d exceeds %d" % (ld, self.d))
-            if not g.is_connected():
-                lam = spread_componentwise_layering(g, state.rseq.head)
-                return Action.restrict(lam), self
-        # one component remains, so g is connected
-        lam = bfs_layering(g, g.smallest())
+            lam = g.bfs_distances(g.smallest())
+            if len(lam) < g.n:  # g is not connected
+                return Action.restrict(spread_componentwise_layering(g, state.rseq.head)), self
+        else:  # one component remains, so g is connected
+            lam = bfs_layering(g, g.smallest())
         span = max(lam.values()) - min(lam.values()) + 1
         try:
             fits = span <= state.rseq.head
@@ -350,8 +350,10 @@ class CliqueSumStrategy(DestroyerStrategy):
     frame below), the strategy that plays for it once its base is gone,
     and whether it gave up; its base is read from the state.  A move
     walks down the frames to the one that acts and back up, translating
-    the action at each; one union-find sweep in rank order tells which
-    of the nested frame graphs are connected."""
+    the action at each.  Only a frame in its spread phase reads whether
+    its graph is connected: one BFS answers the top frame, and one
+    union-find sweep in rank order every frame below, the top too when
+    the frame below it will read."""
 
     _fixed = ("rank", "leaf")  # not layers: the chains of one search differ there
 
@@ -368,31 +370,23 @@ class CliqueSumStrategy(DestroyerStrategy):
         """Frame i's part of g, the vertices of rank <= i."""
         return g if i == len(self.layers) else g.induced(frozenset().union(*self.layers[: i + 1]))
 
-    def _sweep(self, g):
-        """The lowest rank in g, and for each i whether the vertices of g
-        of rank <= i induce a connected graph."""
-        live, root, comps, low, connected = g.vertex_set, {}, 0, None, []
-
-        def find(v):
-            while root[v] != v:
-                root[v] = v = root[root[v]]
-            return v
-
-        for r, layer in enumerate(self.layers + (live.difference(*self.layers),)):
-            for v in layer:
-                if v in live:
-                    root[v] = v  # v stays a root while it is added
-                    comps += 1
-                    for u in g.adj[v]:
-                        if u in root:
-                            u = find(u)
-                            if u != v:
-                                root[u] = v
-                                comps -= 1
-            if low is None and comps:
-                low = r
+    def _sweep(self, g, i):
+        """For each h <= i, whether the vertices of g of rank <= h induce
+        a connected graph: one union-find pass in rank order."""
+        live, root, comps, connected = g.vertex_set, {}, 0, []
+        for layer in (self.layers + (live.difference(*self.layers),))[: i + 1]:
+            for v in layer & live:
+                root[v] = v  # v stays a root while it is added
+                comps += 1
+                for u in g.adj[v]:
+                    if u in root:
+                        while root[u] != u:
+                            root[u] = u = root[root[u]]
+                        if u != v:
+                            root[u] = v
+                            comps -= 1
             connected.append(comps <= 1)
-        return low, connected
+        return connected
 
     def _lift(self, lam_star, g, i):
         """lam_star, a layering of frame i's base, extended to its graph:
@@ -409,13 +403,13 @@ class CliqueSumStrategy(DestroyerStrategy):
 
     def next_action(self, state):
         g, top = state.graph, len(self.layers)
-        if not self.frames[top][5]:  # the top frame is not exhausted
-            low, connected = self._sweep(g)
-            if low >= top:
-                # the top frame's base is gone: a fresh leaf plays the
-                # rest of the game, and is the successor
-                return self.leaf.next_action(state)
-        frames, a = list(self.frames), None
+        live = g.vertex_set
+        low = next((r for r, layer in enumerate(self.layers) if not live.isdisjoint(layer)), top)
+        if low >= top and not self.frames[top][5]:
+            # the top frame's base is gone: a fresh leaf plays the rest of
+            # the game, and is the successor
+            return self.leaf.next_action(state)
+        frames, a, connected = list(self.frames), None, None
         rseq, rnd = state.rseq, state.round  # what frame i reads
         try:
             for i in range(top, -1, -1):  # down to the frame that acts
@@ -431,10 +425,15 @@ class CliqueSumStrategy(DestroyerStrategy):
                     frames[i] = (sim, j, phase, pending, leaf, exhausted)
                 if low >= i:
                     break  # the base is gone: a fresh leaf plays
-                if phase == "spread" and not connected[i]:
-                    a = Action.restrict(spread_componentwise_layering(self._graph(g, i), rseq.head))
-                    frames[i] = (sim, j, phase, "spread", leaf, exhausted)
-                    break
+                if phase == "spread":
+                    # the sweep, once per move, for a frame below the top,
+                    # or for the top when frame top - 1 will read it too
+                    if i < top or low < i - 1 and frames[i - 1][2] == "spread":
+                        connected = connected or self._sweep(g, i)
+                    if not (connected[i] if connected else g.is_connected()):
+                        a = Action.restrict(spread_componentwise_layering(self._graph(g, i), rseq.head))
+                        frames[i] = (sim, j, phase, "spread", leaf, exhausted)
+                        break
                 rseq, rnd = sim.tail(j), j
             if a is None:  # frame i's leaf moves
                 catch = i + 1
@@ -545,7 +544,7 @@ class QuotientStrategy(DestroyerStrategy):
         j = self.j + 1
         try:
             if a.kind == DELETE:
-                new_h, reply = self.h.induced(self.h.vertex_set - {self.h.smallest()}), None
+                new_h, reply = self.h.delete_smallest(), None
             else:
                 lo, hi = reply
                 new_h = self.h.induced(p for p in self.h.vertices if lo <= a.layering[p] <= hi)

@@ -215,6 +215,79 @@ def test_flat_chain_minimax_like_the_nested_chain():
             assert (v, got) == (w, want), (text, g.n, rs)
 
 
+def bfs_cycle(n):
+    """The cycle on an even n >= 6 vertices, numbered in breadth-first
+    order from 0: level l > 0 holds 2l - 1 and 2l, the last level n - 1."""
+    edges = [(0, 1), (0, 2), (n - 3, n - 1), (n - 2, n - 1)]
+    return OrderedGraph(range(n), edges + [(v, v + 2) for v in range(1, n - 3)])
+
+
+@pytest.fixture
+def chain_moves(monkeypatch):
+    """Every flat chain move made in the test, as (number of layers,
+    whether a frame below the top spread because its graph was
+    disconnected while the whole graph was connected)."""
+    moves = []
+    flat_next = strategies.CliqueSumStrategy.next_action
+
+    def next_action(self, state):
+        a, succ = flat_next(self, state)
+        if isinstance(succ, strategies.CliqueSumStrategy):
+            # the frame that spread on this move is the one that now
+            # holds a pending "spread"; observe clears it
+            pairs = zip(self.frames[:-1], succ.frames[:-1])
+            below = any(new[3] == "spread" and old[3] != "spread" for old, new in pairs)
+            moves.append((len(self.layers), below and state.graph.is_connected()))
+        return a, succ
+
+    monkeypatch.setattr(strategies.CliqueSumStrategy, "next_action", next_action)
+    return moves
+
+
+def _compare(flat, ref, g, rs, minimax):
+    for pres in ("max", "first", "last", "random:5"):
+        got = play(flat, parse_preserver(pres), GameState(g, rs))
+        with nested():
+            want = play(ref, parse_preserver(pres), GameState(g, rs))
+        assert got.to_json() == want.to_json(), (g.n, rs, pres)
+        assert got.outcome == "win", (g.n, rs, pres, got.diagnostic)
+    if minimax:
+        got, want = {}, {}
+        v = minimax_rounds(flat, GameState(g, rs), 500, got)
+        with nested():
+            w = minimax_rounds(ref, GameState(g, rs), 500, want)
+        assert (v, got) == (w, want), (g.n, rs)
+
+
+def test_frames_below_the_top_like_the_nested_chain(chain_moves):
+    # k-tree windows: chordal:d restricts to a window of its BFS levels
+    # and plays a chain on it, so const:3 to const:5 give chains of 2 to 4
+    # layers whose frames below the top are read
+    for d, n, seed in ((2, 12, 1), (2, 24, 2), (3, 12, 3), (3, 30, 4), (4, 40, 5)):
+        g = gen_ktree(n, d, seed=seed)
+        for c in (3, 4, 5):
+            flat, ref = build_pair("chordal:%d" % d, g)
+            _compare(flat, ref, g, ConstSeq(c), n <= 12)
+    assert max(layers for layers, _ in chain_moves) >= 2
+    # a path with one vertex per layer: a chain of n - 1 frames, every
+    # move reads the frames down to the lowest live layer
+    for n in (5, 9, 40):
+        g = path(n)
+        for c in (3, n):
+            flat, ref = build_pair("chordal:1", g)
+            _compare(flat, ref, g, ConstSeq(c), n <= 9)
+    # a clique-sum base stays connected while the whole graph is, so
+    # neither input above meets a disconnected frame below a connected
+    # top; an even cycle glues its two arcs along a non-clique, and at
+    # const:1 the lifted spread is still a layering
+    assert not any(split for _, split in chain_moves)
+    for n in (6, 8, 12):
+        g = bfs_cycle(n)
+        lam = strategies.bfs_layering(g, 0)
+        _compare(strategies._make_chain(lam, 1), nested_chain(lam, 1), g, ConstSeq(1), True)
+    assert any(split for _, split in chain_moves)
+
+
 def _walk_values(strat, state, out, depth):
     """Every strategy value met on all lines of play up to depth moves,
     in a fixed order."""

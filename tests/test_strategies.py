@@ -27,6 +27,7 @@ from bakergame.generators import gen_diag_grid, gen_grid, gen_ktree
 from bakergame.graph import (
     Embedding,
     GeodesicPartition,
+    GraphError,
     OrderedGraph,
     check_chordal_ordering,
     check_geodesic_partition,
@@ -254,6 +255,19 @@ def test_chordal_rejects_large_left_degree():
     t = play(ChordalStrategy(2), parse_preserver("max"), GameState(k4, ConstSeq(1)))
     assert t.outcome == "invalid"
     assert "left-degree" in t.diagnostic
+
+
+def test_chordal_spreads_a_disconnected_graph_and_bfs_phase_rejects_it():
+    # two triangles: phase "spread" restricts componentwise from the one
+    # search it also takes its layering from; phase "bfs" expects one
+    # component and says where the graph splits
+    g = OrderedGraph(range(6), [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    state = GameState(g, ConstSeq(2))
+    action, succ = ChordalStrategy(2).next_action(state)
+    assert action == Action.restrict({0: 2, 1: 2, 2: 2, 3: 4, 4: 4, 5: 4})
+    assert succ == ChordalStrategy(2)
+    with pytest.raises(GraphError, match="no path between 0 and 3"):
+        ChordalStrategy(2).fork(phase="bfs").next_action(state)
 
 
 def test_strategies_win_against_every_preserver():
