@@ -9,31 +9,43 @@ def gen_grid(rows, cols):
     """Planar grid, vertices numbered row-major."""
     if rows < 1 or cols < 1:
         raise ValueError("grid needs positive dimensions")
-    edges = []
-    for i in range(rows):
-        for j in range(cols):
-            v = i * cols + j
-            if j + 1 < cols:
-                edges.append((v, v + 1))
-            if i + 1 < rows:
-                edges.append((v, v + cols))
-    return OrderedGraph(range(rows * cols), edges)
+    n = rows * cols
+    adj = {}
+    for v in range(n):
+        # up, left, right, down: the order an edge list would fill them in
+        nbrs = [v - cols] if v >= cols else []
+        if v % cols:
+            nbrs.append(v - 1)
+        if (v + 1) % cols:
+            nbrs.append(v + 1)
+        if v + cols < n:
+            nbrs.append(v + cols)
+        adj[v] = frozenset(nbrs) or _NO_NEIGHBOURS
+    vs = tuple(range(n))
+    return OrderedGraph._raw(vs, frozenset(vs), adj, rows * (cols - 1) + (rows - 1) * cols)
 
 
 def gen_apex_grid(n):
     """n x n grid plus vertex 0 adjacent to every grid vertex."""
     if n < 1:
         raise ValueError("grid needs a positive dimension")
-    edges = []
-    for i in range(n):
-        for j in range(n):
-            v = 1 + i * n + j
-            edges.append((0, v))
-            if j + 1 < n:
-                edges.append((v, v + 1))
-            if i + 1 < n:
-                edges.append((v, v + n))
-    return OrderedGraph(range(n * n + 1), edges)
+    last = n * n
+    adj = {0: frozenset(range(1, last + 1))}
+    for v in range(1, last + 1):
+        # up, left, apex, right, down: the order an edge list would fill them in
+        nbrs = [v - n] if v > n else []
+        if (v - 1) % n:
+            nbrs.append(v - 1)
+        nbrs.append(0)
+        if v % n:
+            nbrs.append(v + 1)
+        if v + n <= last:
+            nbrs.append(v + n)
+        # five neighbours outgrow a set's first table; copying the set
+        # lays them out as a set filled by edges and then frozen would be
+        adj[v] = frozenset(set(nbrs))
+    vs = tuple(range(last + 1))
+    return OrderedGraph._raw(vs, frozenset(vs), adj, last + 2 * n * (n - 1))
 
 
 def gen_diag_grid(n):

@@ -95,6 +95,47 @@ def test_ktree_matches_the_edge_list_reference(d):
             assert all(list(got.adj[v]) == list(want.adj[v]) for v in want.vertices)
 
 
+def _reference_grid(rows, cols):
+    """The earlier gen_grid: an edge list handed to the validating constructor."""
+    edges = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                edges.append((v, v + 1))
+            if i + 1 < rows:
+                edges.append((v, v + cols))
+    return OrderedGraph(range(rows * cols), edges)
+
+
+def _reference_apex_grid(n):
+    """The earlier gen_apex_grid, built the same way."""
+    edges = []
+    for i in range(n):
+        for j in range(n):
+            v = 1 + i * n + j
+            edges.append((0, v))
+            if j + 1 < n:
+                edges.append((v, v + 1))
+            if i + 1 < n:
+                edges.append((v, v + n))
+    return OrderedGraph(range(n * n + 1), edges)
+
+
+def _same_graph(got, want):
+    assert (got.vertices, got.vertex_set, got.m) == (want.vertices, want.vertex_set, want.m)
+    assert got.adj == want.adj
+    assert all(list(got.adj[v]) == list(want.adj[v]) for v in want.vertices)
+
+
+def test_grids_match_the_edge_list_reference():
+    # 16 x 16 and apex grid 16 put neighbours 2 * 16 apart, which share a hash slot
+    for rows, cols in ((1, 1), (1, 9), (9, 1), (7, 5), (8, 8), (16, 16)):
+        _same_graph(gen_grid(rows, cols), _reference_grid(rows, cols))
+    for n in (1, 2, 3, 4, 5, 6, 8, 16):
+        _same_graph(gen_apex_grid(n), _reference_apex_grid(n))
+
+
 def test_random_instance_kinds():
     g = gen_grid(2, 3)
     dom = gen_random_instance("domset", g, seed=1)

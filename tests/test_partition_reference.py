@@ -22,6 +22,7 @@ from bakergame.graph import GeodesicPartition, GraphError, OrderedGraph, quotien
 from bakergame.strategies import (
     MinorWitness,
     PartitionResult,
+    _split_off,
     build_strategy,
     chordal_geodesic_partition,
 )
@@ -138,6 +139,69 @@ def test_builder_matches_the_reference():
     # the corpus reaches both outcomes often
     assert cases > 6000 and 2000 < witnesses < cases - 2000
     assert time.monotonic() - t0 < 30.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_grid(30, 30), lambda: gen_grid(40, 40), lambda: gen_ktree(1000, 3, seed=1)],
+    ids=["grid30", "grid40", "3tree1000"],
+)
+def test_builder_matches_the_reference_at_scale(make):
+    # the sizes the referee workload builds, where the build time is measured
+    g = make()
+    for k in (4, 5):
+        assert _key(chordal_geodesic_partition(g, k)) == _key(reference_partition(g, k))
+
+
+def _connected_part(rng, g, comp):
+    """A connected vertex set of comp, grown from a random vertex one
+    random neighbour at a time."""
+    part = {rng.choice(sorted(comp))}
+    size = rng.randint(1, len(comp))
+    while len(part) < size:
+        part.add(rng.choice(sorted({w for v in part for w in g.adj[v]} - part)))
+    return frozenset(part)
+
+
+def _cycle_with_chords(rng):
+    n = rng.randint(3, 30)
+    chords = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(3))]
+    return OrderedGraph(range(n), [(v, (v + 1) % n) for v in range(n)] + chords)
+
+
+def test_split_off_returns_the_components():
+    rng = random.Random(5)
+    families = (
+        lambda: _random_sparse(rng, rng.randint(2, 40)),
+        lambda: gen_ktree(rng.randint(4, 40), 3, seed=rng.randrange(10**6)),
+        lambda: gen_grid(rng.randint(1, 7), rng.randint(1, 7)),
+        # long cycles leave seeds that no ring joins
+        lambda: _cycle_with_chords(rng),
+    )
+    seen = dict.fromkeys(("empty", "one seed", "ring joins the seeds", "searches merge", "several"), 0)
+    for trial in range(4000):
+        g = families[trial % 4]()
+        comp = rng.choice(g.components())
+        part = _connected_part(rng, g, comp)
+        got = _split_off(g.adj, comp, part, frozenset().union(*(g.adj[v] for v in part)))
+        want = g.induced(comp - part).components()
+        assert got == want, (g.edge_list(), sorted(comp), sorted(part))
+        assert all(type(child) is frozenset for child in got)
+        seeds = {w for v in part for w in g.adj[v]} - part
+        # the ring: the edges from a seed into comp - part
+        ring = [(s, w) for s in seeds for w in g.adj[s] - part]
+        classes = OrderedGraph(seeds.union(*ring), ring).components()
+        if not want:
+            seen["empty"] += 1
+        elif len(want) > 1:
+            seen["several"] += 1
+        elif len(seeds) == 1:
+            seen["one seed"] += 1
+        elif len(classes) == 1:
+            seen["ring joins the seeds"] += 1
+        else:
+            seen["searches merge"] += 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_builder_rejects_small_k_like_the_reference():

@@ -300,6 +300,11 @@ def test_verify_minor_witness_rejects_bad_sets():
     g = path(4)
     bad = MinorWitness(2, (frozenset({0}), frozenset({3})))  # not adjacent
     assert not verify_minor_witness(g, bad)
+    grid = gen_grid(2, 2)
+    assert verify_minor_witness(grid, MinorWitness(2, ((0,), (1,))))
+    # 99 is not a vertex, though the rest of each set would pass
+    assert not verify_minor_witness(grid, MinorWitness(2, ((0,), (1, 99))))
+    assert not verify_minor_witness(grid, MinorWitness(2, ((0, 99), (1,))))
 
 
 def test_decomposition_of_grid():
